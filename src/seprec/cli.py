@@ -43,6 +43,19 @@ def _envelope(command: str, params: dict, result) -> dict:
     return {"command": command, "params": params, "result": result}
 
 
+def _int_text(value: int) -> str:
+    """Decimal text of an int the command computed, past CPython's limit on
+    int-to-str digits (Python 3.11+).  Parsing argv keeps the default limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _workers() -> int:
     value = os.environ.get("SEPREC_WORKERS", "1")
     try:
@@ -127,7 +140,10 @@ def _total_value(n: int, k, method: str) -> int:
         if method == "series":
             return sum(series.sep_totals_by_length(k2, n)[n] for k2 in range(1, n + 1))
         if method == "egf":
-            return int(formulas.egf_coeffs(n)[n] * factorial(n))
+            total = formulas.egf_coeffs(n)[n] * factorial(n)
+            if total.denominator != 1:
+                raise ArithmeticError(f"exponential-series total for n={n} is not an integer: {total}")
+            return total.numerator
         if method == "literal":
             return sum(
                 series.sep_totals_by_length(k2, n, literal=True)[n] for k2 in range(1, n + 1)
@@ -150,15 +166,16 @@ def _cmd_total(args) -> int:
     if args.method == "literal":
         print(LITERAL_WARNING, file=sys.stderr)
     value = _total_value(args.n, args.k, args.method)
+    text = _int_text(value)
     if args.format == "plain":
-        print(value)
+        print(text)
     elif args.format == "json":
         params = {"n": args.n, "k": args.k, "method": args.method}
-        sys.stdout.write(_dump_json(_envelope("total", params, str(value))))
+        sys.stdout.write(_dump_json(_envelope("total", params, text)))
     else:
         sys.stdout.write(_dump_csv(["n", "k", "method", "total"],
                                    [[args.n, "" if args.k is None else args.k,
-                                     args.method, value]]))
+                                     args.method, text]]))
     return 0
 
 
@@ -228,10 +245,11 @@ def _cmd_asym(args) -> int:
     ns = [int(part) for part in args.n_list.split(",") if part.strip()]
     if not ns:
         raise ValueError("empty --n-list")
-    reports = asymptotics.sweep(ns, literal=args.literal)
     if args.format == "csv":
         sys.stdout.write(asymptotics.sweep_csv(ns, literal=args.literal))
-    elif args.format == "json":
+        return 0
+    reports = asymptotics.sweep(ns, literal=args.literal)
+    if args.format == "json":
         params = {"n_list": args.n_list, "literal": args.literal}
         result = [
             {

@@ -83,8 +83,10 @@ def total_sep_n(n: int) -> int:
     return total.numerator
 
 
-def _int_series_mul(a: list[int], b: list[int], order: int) -> list[int]:
-    out = [0] * (order + 1)
+def _series_mul(a: list, b: list, order: int, zero=0) -> list:
+    """Product of two power series truncated at x^order.  A coefficient that
+    no pair of terms reaches is ``zero``, so Fraction series stay Fractions."""
+    out = [zero] * (order + 1)
     for i, ai in enumerate(a[: order + 1]):
         if ai:
             for j, bj in enumerate(b[: order + 1 - i]):
@@ -119,13 +121,13 @@ def rational_series_totals(k: int, order: int) -> list[int]:
         raise ValueError(f"need 1 <= k <= order, got k={k}, order={order}")
     base = [1]
     for i in range(1, k + 1):
-        base = _int_series_mul(base, _int_geom(i, order), order)
+        base = _series_mul(base, _int_geom(i, order), order)
     weighted = [0] * (order + 1)
     for i in range(1, k):
         c = (k - i) * i * (i + 1) // 2
         for m, g in enumerate(_int_geom(i, order)):
             weighted[m] += c * g
-    tail = _int_series_mul(base, weighted, order)
+    tail = _series_mul(base, weighted, order)
     c0 = _record_offset_total(k)
     out = [0] * (order + 1)
     for n in range(k, order + 1):
@@ -284,16 +286,6 @@ def _exp_series(m: int, order: int) -> list[Fraction]:
     return out
 
 
-def _frac_series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai:
-            for j, bj in enumerate(b[: order + 1 - i]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
 def _shift_x(a: list[Fraction], order: int) -> list[Fraction]:
     """Multiply a series by x, truncating at ``order``."""
     return ([Fraction(0)] + a)[: order + 1]
@@ -330,7 +322,7 @@ def egf_coeffs(order: int) -> list[Fraction]:
     for n, v in enumerate(_shift_x(e1, order)):
         combo[n] -= v
     combo[0] -= Fraction(1, 12)
-    return _frac_series_mul(bell_egf(order), combo, order)
+    return _series_mul(bell_egf(order), combo, order, Fraction(0))
 
 
 def bell_shift_identities_check(order: int) -> dict[str, bool]:
@@ -358,23 +350,23 @@ def bell_shift_identities_check(order: int) -> dict[str, bool]:
     ns = range(order + 1)
     checks = {
         "exp_x": (
-            _frac_series_mul(e1, E, order),
+            _series_mul(e1, E, order, Fraction(0)),
             expected(bell(n + 1) for n in ns),
         ),
         "exp_2x": (
-            _frac_series_mul(e2, E, order),
+            _series_mul(e2, E, order, Fraction(0)),
             expected(bell(n + 2) - bell(n + 1) for n in ns),
         ),
         "exp_3x": (
-            _frac_series_mul(e3, E, order),
+            _series_mul(e3, E, order, Fraction(0)),
             expected(bell(n + 3) - 3 * bell(n + 2) + 2 * bell(n + 1) for n in ns),
         ),
         "x_exp_x": (
-            _shift_x(_frac_series_mul(e1, E, order), order),
+            _shift_x(_series_mul(e1, E, order, Fraction(0)), order),
             expected(n * bell(n) for n in ns),
         ),
         "x_exp_2x": (
-            _shift_x(_frac_series_mul(e2, E, order), order),
+            _shift_x(_series_mul(e2, E, order, Fraction(0)), order),
             expected(n * (bell(n + 1) - bell(n)) for n in ns),
         ),
     }

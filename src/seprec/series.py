@@ -3,12 +3,25 @@
 The series here expand the bivariate counting functions for partitions of [n]
 with k blocks: x marks the word length n and q marks the statistic value, so
 the coefficient of x^n q^s is a count.  Everything is integer arithmetic on
-dense coefficient lists; truncation order is fixed per series and preserved by
-the ring operations.
+dense coefficient lists, truncated at a fixed order in x.
+
+Every series built here is a monomial x^k q^c times factors 1/(1 - x L(q)),
+where L is either a constant letter count i or the letter polynomial
+q + q^2 + ... + q^j.  A factor has a single x^1 term, so dividing a series
+h = sum h_m x^m by (1 - x L) is the first-order recurrence
+
+    g_0 = h_0,    g_m = h_m + L * g_{m-1},
+
+applied in place for m = 1..order.  Multiplying by L = i scales each
+coefficient; multiplying by q + ... + q^j is a running window sum of width j
+over the coefficient list.  Either step costs O(degree) per x power, so a
+factor costs O(order * degree) and no series-by-series product is needed.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import accumulate
+from operator import add, sub
+from typing import Callable, Iterable
 
 
 class QPoly:
@@ -21,21 +34,6 @@ class QPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "QPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "QPoly":
-        return cls((1,))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: int = 1) -> "QPoly":
-        """coeff * q**power"""
-        if power < 0:
-            raise ValueError(f"power must be nonnegative, got {power}")
-        return cls((0,) * power + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -53,15 +51,6 @@ class QPoly:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return QPoly(out)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -112,25 +101,9 @@ class XSeries:
         cs = list(coeffs)
         if len(cs) > order + 1:
             raise ValueError(f"{len(cs)} coefficients exceed truncation order {order}")
-        cs.extend(QPoly.zero() for _ in range(order + 1 - len(cs)))
+        cs.extend(QPoly() for _ in range(order + 1 - len(cs)))
         self.order = order
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, order: int) -> "XSeries":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "XSeries":
-        return cls(order, (QPoly.one(),))
-
-    @classmethod
-    def monomial(cls, order: int, xpower: int, qpower: int = 0, coeff: int = 1) -> "XSeries":
-        """coeff * q**qpower * x**xpower, truncated at ``order``."""
-        if not 0 <= xpower <= order:
-            raise ValueError(f"x power {xpower} outside truncation order {order}")
-        cs = [QPoly.zero()] * xpower + [QPoly.monomial(qpower, coeff)]
-        return cls(order, cs)
 
     def coefficient(self, n: int) -> QPoly:
         if not 0 <= n <= self.order:
@@ -147,46 +120,6 @@ class XSeries:
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
 
-    def _check_order(self, other: "XSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"truncation orders differ: {self.order} != {other.order}")
-
-    def __add__(self, other: "XSeries") -> "XSeries":
-        self._check_order(other)
-        return XSeries(self.order, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "XSeries") -> "XSeries":
-        self._check_order(other)
-        n = self.order
-        out = [QPoly.zero()] * (n + 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j in range(n + 1 - i):
-                    bj = other.coeffs[j]
-                    if bj:
-                        out[i + j] = out[i + j] + ai * bj
-        return XSeries(n, out)
-
-    def geom_inverse(self) -> "XSeries":
-        """1 / (1 - self), requiring a zero constant term.
-
-        >>> x = XSeries.monomial(3, 1)
-        >>> [g.to_dict() for g in x.geom_inverse().coeffs]
-        [{0: 1}, {0: 1}, {0: 1}, {0: 1}]
-        """
-        if self.coeffs[0]:
-            raise ValueError("geometric inverse needs a zero constant term")
-        n = self.order
-        g: list[QPoly] = [QPoly.one()]
-        for m in range(1, n + 1):
-            acc = QPoly.zero()
-            for i in range(1, m + 1):
-                fi = self.coeffs[i]
-                if fi:
-                    acc = acc + fi * g[m - i]
-            g.append(acc)
-        return XSeries(n, g)
-
     def __repr__(self) -> str:
         return f"XSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
 
@@ -196,14 +129,45 @@ def format_series(series: XSeries) -> str:
     return "\n".join(f"{n}: {format_qpoly(c)}" for n, c in enumerate(series.coeffs))
 
 
+Step = Callable[[list[int]], list[int]]
+
+
+def _times_count(i: int) -> Step:
+    """p -> i * p, the step of the factor 1/(1 - i*x)."""
+    return lambda p: [i * c for c in p]
+
+
+def _times_letters(j: int) -> Step:
+    """p -> (q + ... + q^j) * p, the step of the factor 1/(1 - x*(q + ... + q^j)).
+
+    Coefficient d of the product is p[d-j] + ... + p[d-1], a difference of
+    prefix sums of p.
+    """
+    def step(p: list[int]) -> list[int]:
+        prefix = list(accumulate(p + [0] * (j - 1), initial=0))
+        return [0, *prefix[1:j], *map(sub, prefix[j:], prefix)]
+    return step
+
+
+def _expand(order: int, xpower: int, qpower: int, steps: Iterable[Step]) -> XSeries:
+    """x^xpower q^qpower / prod (1 - x*L), one factor per step p -> L*p,
+    truncated at x^order."""
+    g = [[0] * qpower + [1]] + [[]] * (order - xpower)
+    for step in steps:
+        for m in range(1, len(g)):
+            # g_m = h_m + L*g_{m-1}: add the shorter list into the longer
+            short, longer = sorted((g[m], step(g[m - 1])), key=len)
+            g[m] = [*map(add, longer, short), *longer[len(short):]]
+    return XSeries(order, [QPoly()] * xpower + [QPoly(c) for c in g])
+
+
 def word_sum_factor(j: int, order: int) -> XSeries:
     """Series of all words over the alphabet [j], x marking length and q
     marking the sum of the letters: 1 / (1 - x*(q + q^2 + ... + q^j)).
     """
     if j < 1:
         raise ValueError(f"alphabet size must be positive, got {j}")
-    letter = QPoly((0,) + (1,) * j)
-    return XSeries(order, (QPoly.zero(), letter)).geom_inverse()
+    return _expand(order, 0, 0, [_times_letters(j)])
 
 
 def word_count_factor(i: int, order: int) -> XSeries:
@@ -212,7 +176,7 @@ def word_count_factor(i: int, order: int) -> XSeries:
     """
     if i < 1:
         raise ValueError(f"alphabet size must be positive, got {i}")
-    return XSeries(order, (QPoly.zero(), QPoly((i,)))).geom_inverse()
+    return _expand(order, 0, 0, [_times_count(i)])
 
 
 def distribution_series(k: int, a: int, order: int, literal: bool = False) -> XSeries:
@@ -232,18 +196,14 @@ def distribution_series(k: int, a: int, order: int, literal: bool = False) -> XS
     """
     if not 1 <= a <= k <= order:
         raise ValueError(f"need 1 <= a <= k <= order, got a={a}, k={k}, order={order}")
-    cur = XSeries.monomial(order, k, a * (a - 1) // 2)
     if literal:
+        steps = []
         for j in range(1, a):
-            cur = cur * word_sum_factor(j, order)
-            for _ in range(a, k + 1):
-                cur = cur * word_count_factor(a, order)
-        return cur
-    for i in range(a, k + 1):
-        cur = cur * word_count_factor(i, order)
-    for j in range(1, a):
-        cur = cur * word_sum_factor(j, order)
-    return cur
+            steps.append(_times_letters(j))
+            steps.extend(_times_count(a) for _ in range(a, k + 1))
+    else:
+        steps = [*map(_times_count, range(a, k + 1)), *map(_times_letters, range(1, a))]
+    return _expand(order, k, a * (a - 1) // 2, steps)
 
 
 def sep_totals_by_length(k: int, order: int, literal: bool = False) -> list[int]:

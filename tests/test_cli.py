@@ -1,10 +1,15 @@
 import csv
+import hashlib
 import io
 import json
+import sys
+from decimal import Decimal
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from seprec import cli, formulas
+from seprec import asymptotics, cli, formulas
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +136,47 @@ def test_total_brute_cap(capsys):
     assert code == 2
 
 
+def test_total_prints_past_the_int_digit_limit(capsys):
+    # total_sep_n(2000) has more digits than CPython's default int-to-str
+    # limit; Decimal converts it without that limit
+    want = str(Decimal(formulas.total_sep_n(2000)))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, _ = run_cli(capsys, "total", "--n", "2000")
+    assert (code, out) == (0, want + "\n")
+    code, out, _ = run_cli(capsys, "total", "--n", "2000", "--format", "json")
+    assert code == 0
+    assert f'"result": "{want}"' in out
+    code, out, _ = run_cli(capsys, "total", "--n", "2000", "--format", "csv")
+    assert (code, out) == (0, f"n,k,method,total\n2000,,formula,{want}\n")
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_total_egf_asserts_integrality(capsys, monkeypatch):
+    monkeypatch.setattr(formulas, "egf_coeffs", lambda n: [Fraction(1, 2 * factorial(n))] * (n + 1))
+    code, out, err = run_cli(capsys, "total", "--n", "3", "--method", "egf")
+    assert (code, out) == (2, "")
+    assert "not an integer" in err
+
+
+# Regression pins, not goldens: the --literal variant has no oracle, so these
+# sha256 digests only freeze its output, so that a rewrite of the series code
+# cannot change it unnoticed.  They say nothing about whether it is right.
+LITERAL_PINS = {
+    ("series", "--k", "6", "--a", "4", "--order", "15", "--literal"):
+        "ee80bbd939a9f36554cd89717af8d8a05069760eba4dc0e2861e7fa36a44eb84",
+    ("total", "--n", "14", "--method", "literal"):
+        "da552bba47ab657a348e08cd5ec99aee60bf8d024c7ad83e9fd47d2cb51a334b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LITERAL_PINS))
+def test_literal_output_regression_pin(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LITERAL_PINS[argv]
+
+
 def test_json_round_trip(capsys):
     for argv in (
         ["total", "--n", "5", "--format", "json"],
@@ -195,6 +241,21 @@ def test_asym_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,r,ratio,abs_err"
     assert len(lines) == 3
+
+
+def test_asym_csv_sweeps_once(capsys, monkeypatch):
+    seen = []
+    estimate = asymptotics.estimate_ratio
+
+    def counted(n, literal=False):
+        seen.append(n)
+        return estimate(n, literal=literal)
+
+    monkeypatch.setattr(asymptotics, "estimate_ratio", counted)
+    code, out, _ = run_cli(capsys, "asym", "--n-list", "50,100", "--format", "csv")
+    assert (code, seen) == (0, [50, 100])
+    monkeypatch.undo()
+    assert out == asymptotics.sweep_csv([50, 100])
 
 
 def test_asym_literal_warns(capsys):

@@ -1,10 +1,10 @@
 import pytest
 
 from seprec.counting import stirling2
+from seprec.formulas import rational_series_totals
 from seprec.oracle import brute_distribution_a, brute_total_nk
 from seprec.series import (
     QPoly,
-    XSeries,
     distribution_series,
     format_qpoly,
     format_series,
@@ -21,17 +21,16 @@ def test_qpoly_basics():
     assert p.coefficient(1) == 2
     assert p.coefficient(5) == 0
     assert not QPoly()
-    assert QPoly.monomial(3, 4).to_dict() == {3: 4}
+    assert QPoly((0, 0, 0, 4)).to_dict() == {3: 4}
 
 
 def test_qpoly_arithmetic():
     p = QPoly((1, 1))       # 1 + q
     q = QPoly((0, 1, 2))    # q + 2q^2
-    assert (p + q).coeffs == (1, 2, 2)
     assert (p * q).coeffs == (0, 1, 3, 2)
     assert (p * 3).coeffs == (3, 3)
     assert (2 * p).coeffs == (2, 2)
-    assert (p + QPoly((-1, -1))) == QPoly()
+    assert p * QPoly() == QPoly()
 
 
 def test_qpoly_evaluations():
@@ -43,12 +42,12 @@ def test_qpoly_evaluations():
 
 
 def test_geometric_series_of_x():
-    g = XSeries.monomial(3, 1).geom_inverse()
+    g = word_count_factor(1, 3)
     assert [c.to_dict() for c in g.coeffs] == [{0: 1}] * 4
 
 
 def test_geometric_series_of_qx():
-    g = XSeries.monomial(2, 1, 1).geom_inverse()
+    g = word_sum_factor(1, 2)
     assert [c.to_dict() for c in g.coeffs] == [{0: 1}, {1: 1}, {2: 1}]
 
 
@@ -66,24 +65,11 @@ def test_word_count_factor_is_powers():
     assert [c.to_dict() for c in f.coeffs] == [{0: 1}, {0: 3}, {0: 9}, {0: 27}, {0: 81}]
 
 
-def test_geom_inverse_requires_zero_constant_term():
+def test_word_factors_need_a_positive_alphabet():
     with pytest.raises(ValueError):
-        XSeries.one(3).geom_inverse()
-
-
-def test_order_mismatch_rejected():
+        word_sum_factor(0, 3)
     with pytest.raises(ValueError):
-        XSeries.one(3) + XSeries.one(4)
-    with pytest.raises(ValueError):
-        XSeries.one(3) * XSeries.one(4)
-
-
-def test_series_inverse_identity():
-    # (1 - f) * 1/(1 - f) == 1
-    f = XSeries(5, (QPoly.zero(), QPoly((1, 1)), QPoly((0, 2))))
-    one = XSeries.one(5)
-    minus_f = XSeries(5, tuple(c * -1 for c in f.coeffs))
-    assert (one + minus_f) * f.geom_inverse() == one
+        word_count_factor(0, 3)
 
 
 def test_distribution_series_single_block():
@@ -113,6 +99,16 @@ def test_distribution_series_at_q1_counts_partitions():
                 assert count == stirling2(n, k)
 
 
+def test_distribution_series_counts_partitions_to_order_20():
+    # sizes the enumeration checks never reach: every x^n coefficient at q = 1
+    # is S(n, k), whatever the record a
+    for k in range(1, 21):
+        for a in range(1, k + 1):
+            xs = distribution_series(k, a, 20)
+            for n in range(k, 21):
+                assert xs.coefficient(n).at_one() == stirling2(n, k), (n, k, a)
+
+
 def test_distribution_series_argument_guards():
     with pytest.raises(ValueError):
         distribution_series(2, 3, 5)
@@ -130,6 +126,11 @@ def test_sep_totals_by_length_matches_enumeration():
     for n in range(1, 9):
         for k in range(1, n + 1):
             assert sep_totals_by_length(k, n)[n] == brute_total_nk(n, k)
+
+
+def test_sep_totals_by_length_matches_rational_series_to_order_30():
+    for k in range(1, 31):
+        assert sep_totals_by_length(k, 30) == rational_series_totals(k, 30), k
 
 
 def test_literal_variant_differs_from_validated_form():
