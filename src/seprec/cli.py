@@ -4,22 +4,23 @@ Subcommands: enumerate, stat, total, verify, pfd, series, asym.  Every
 command supports ``--format plain|json|csv`` where it makes sense; identical
 inputs produce byte-identical output (no timestamps, stable ordering).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  The worker
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
+closed by its reader (as a shell reports for ``yes | head -1``).  The worker
 count for verification sweeps comes from the SEPREC_WORKERS environment
 variable (default 1).
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import sys
-from fractions import Fraction
 from math import factorial
 
-from . import asymptotics, counting, formulas, oracle, series, setpart, stats
+from . import asymptotics, formulas, oracle, series, setpart, stats, verify
 
 LITERAL_WARNING = (
     "warning: --literal uses the non-validated textbook variant of the formula; "
@@ -43,15 +44,17 @@ def _envelope(command: str, params: dict, result) -> dict:
     return {"command": command, "params": params, "result": result}
 
 
-def _int_text(value: int) -> str:
-    """Decimal text of an int the command computed, past CPython's limit on
-    int-to-str digits (Python 3.11+).  Parsing argv keeps the default limit."""
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's limit on int-to-str digits (Python 3.11+) while a command
+    writes numbers it computed.  Parsing argv keeps the default limit."""
     if not hasattr(sys, "set_int_max_str_digits"):
-        return str(value)
+        yield
+        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return str(value)
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -166,7 +169,8 @@ def _cmd_total(args) -> int:
     if args.method == "literal":
         print(LITERAL_WARNING, file=sys.stderr)
     value = _total_value(args.n, args.k, args.method)
-    text = _int_text(value)
+    with _unlimited_int_digits():
+        text = str(value)
     if args.format == "plain":
         print(text)
     elif args.format == "json":
@@ -197,22 +201,23 @@ def _cmd_pfd(args) -> int:
     for m in range(1, args.k + 1):
         am, bm = table.row(m)
         rows.append((m, am, bm))
-    if args.format == "plain":
-        for m, am, bm in rows:
-            print(f"{args.k} {m} {am} {bm}")
-    elif args.format == "json":
-        params = {"k": args.k, "oracle": args.oracle, "literal": args.literal}
-        result = [
-            {"m": m, "a": [am.numerator, am.denominator], "b": [bm.numerator, bm.denominator]}
-            for m, am, bm in rows
-        ]
-        sys.stdout.write(_dump_json(_envelope("pfd", params, result)))
-    else:
-        sys.stdout.write(_dump_csv(
-            ["k", "m", "a_num", "a_den", "b_num", "b_den"],
-            [[args.k, m, am.numerator, am.denominator, bm.numerator, bm.denominator]
-             for m, am, bm in rows],
-        ))
+    with _unlimited_int_digits():
+        if args.format == "plain":
+            for m, am, bm in rows:
+                print(f"{args.k} {m} {am} {bm}")
+        elif args.format == "json":
+            params = {"k": args.k, "oracle": args.oracle, "literal": args.literal}
+            result = [
+                {"m": m, "a": [am.numerator, am.denominator], "b": [bm.numerator, bm.denominator]}
+                for m, am, bm in rows
+            ]
+            sys.stdout.write(_dump_json(_envelope("pfd", params, result)))
+        else:
+            sys.stdout.write(_dump_csv(
+                ["k", "m", "a_num", "a_den", "b_num", "b_den"],
+                [[args.k, m, am.numerator, am.denominator, bm.numerator, bm.denominator]
+                 for m, am, bm in rows],
+            ))
     return 0
 
 
@@ -272,143 +277,9 @@ def _cmd_asym(args) -> int:
 
 # ------------------------------------------------------------------- verify
 
-def _suite_counts(max_n: int, workers: int) -> tuple[bool, str]:
-    cells = 0
-    for n in range(1, max_n + 1):
-        if sum(1 for _ in setpart.iterate_all(n)) != counting.bell(n):
-            return False, f"iterate_all({n}) count != B_{n}"
-        for k in range(1, n + 1):
-            if sum(1 for _ in setpart.iterate_with_k(n, k)) != counting.stirling2(n, k):
-                return False, f"iterate_with_k({n},{k}) count != S({n},{k})"
-            cells += 1
-    return True, f"stream counts match Bell and Stirling numbers on {cells} cells (n <= {max_n})"
-
-
-def _suite_roundtrip(max_n: int, workers: int) -> tuple[bool, str]:
-    top = min(max_n, 9)
-    total = 0
-    for n in range(1, top + 1):
-        for w in setpart.iterate_all(n):
-            if setpart.from_blocks(setpart.to_blocks(w)) != w:
-                return False, f"block round trip failed for {setpart.format_word(w)}"
-            total += 1
-    return True, f"block round trip exact on {total} words (n <= {top})"
-
-
-def _suite_stats_dual(max_n: int, workers: int) -> tuple[bool, str]:
-    top = min(max_n, 9)
-    total = 0
-    for n in range(1, top + 1):
-        for w in setpart.iterate_all(n):
-            if stats.sep(w) != stats.sep_by_positions(w):
-                return False, f"sep dual formulas differ on {setpart.format_word(w)}"
-            recs = stats.records(w)
-            if [v for v, _ in recs] != list(range(1, max(w) + 1)):
-                return False, f"record values are not 1..k on {setpart.format_word(w)}"
-            total += 1
-    return True, f"sep dual formula and record structure hold on {total} words (n <= {top})"
-
-
-def _suite_totals(max_n: int, workers: int) -> tuple[bool, str]:
-    cells = 0
-    for n in range(1, max_n + 1):
-        brute = oracle.brute_totals_by_k(n, workers=workers)
-        for k in range(1, n + 1):
-            want = brute[k]
-            closed = formulas.total_sep_nk(n, k)
-            rational = formulas.rational_series_totals(k, n)[n]
-            qderiv = series.sep_totals_by_length(k, n)[n]
-            if not closed == rational == qderiv == want:
-                return False, (
-                    f"totals disagree at n={n} k={k}: brute={want} closed={closed} "
-                    f"rational={rational} series={qderiv}"
-                )
-            cells += 1
-    return True, f"four total routes agree on {cells} cells (n <= {max_n})"
-
-
-def _suite_bell_total(max_n: int, workers: int) -> tuple[bool, str]:
-    for n in range(1, max_n + 1):
-        brute = sum(oracle.brute_totals_by_k(n, workers=workers).values())
-        if formulas.total_sep_n(n) != brute:
-            return False, f"Bell-number total differs from enumeration at n={n}"
-    return True, f"Bell-number closed form matches enumeration (n <= {max_n})"
-
-
-def _suite_distribution(max_n: int, workers: int) -> tuple[bool, str]:
-    top = min(max_n, oracle.MAX_DIST_N)
-    cells = 0
-    for n in range(1, top + 1):
-        for k in range(1, n + 1):
-            expanded = {
-                a: series.distribution_series(k, a, n).coefficient(n).to_dict()
-                for a in range(1, k + 1)
-            }
-            for a in range(1, k + 1):
-                if expanded[a] != oracle.brute_distribution_a(n, k, a):
-                    return False, f"distribution mismatch at n={n} k={k} a={a}"
-                cells += 1
-    return True, f"series coefficients match enumerated distributions on {cells} cells (n <= {top})"
-
-
-def _suite_pfd(max_n: int, workers: int) -> tuple[bool, str]:
-    for k in range(1, 16):
-        closed = formulas.pfd_coeffs(k)
-        oracle_table = formulas.pfd_oracle(k)
-        if closed != oracle_table:
-            return False, f"partial fraction closed form differs from residue oracle at k={k}"
-        for t in range(2 * k + 1):
-            y = Fraction(2 * k + 3 + 2 * t, 2)
-            if formulas.pfd_value(closed, y) != formulas.pfd_target_value(k, y):
-                return False, f"partial fraction reconstruction fails at k={k}, y={y}"
-    return True, "partial fractions match the residue oracle and reconstruct exactly (k <= 15)"
-
-
-def _suite_egf(max_n: int, workers: int) -> tuple[bool, str]:
-    coeffs = formulas.egf_coeffs(30)
-    for n in range(1, 31):
-        if coeffs[n] * factorial(n) != formulas.total_sep_n(n):
-            return False, f"exponential series coefficient wrong at n={n}"
-    shifts = formulas.bell_shift_identities_check(30)
-    bad = sorted(name for name, ok in shifts.items() if not ok)
-    if bad:
-        return False, f"Bell shift identities fail: {', '.join(bad)}"
-    return True, "exponential series and Bell shift identities exact (n <= 30)"
-
-
-def _suite_integrality(max_n: int, workers: int) -> tuple[bool, str]:
-    for n in range(1, 201):
-        value = (
-            4 * counting.bell(n + 3)
-            - 3 * counting.bell(n + 2)
-            - (6 * n + 13) * counting.bell(n + 1)
-            - (6 * n + 1) * counting.bell(n)
-        )
-        if value % 12 != 0:
-            return False, f"integrality combination not divisible by 12 at n={n}"
-    return True, "Bell combination divisible by 12 (n <= 200)"
-
-
-def _suite_rowsum(max_n: int, workers: int) -> tuple[bool, str]:
-    for n in range(1, 41):
-        by_k = sum(formulas.total_sep_nk(n, k) for k in range(1, n + 1))
-        if by_k != formulas.total_sep_n(n):
-            return False, f"row sum differs from Bell-number total at n={n}"
-    return True, "per-k totals sum to the Bell-number total (n <= 40)"
-
-
-_SUITES = {
-    "counts": _suite_counts,
-    "roundtrip": _suite_roundtrip,
-    "stats_dual": _suite_stats_dual,
-    "totals": _suite_totals,
-    "bell_total": _suite_bell_total,
-    "distribution": _suite_distribution,
-    "pfd": _suite_pfd,
-    "egf": _suite_egf,
-    "integrality": _suite_integrality,
-    "rowsum": _suite_rowsum,
-}
+# perfbench/layers.py wraps the entries of this dict in place, so
+# _cmd_verify looks each suite up here at call time.
+_SUITES = verify.SUITES
 
 
 def _cmd_verify(args) -> int:
@@ -510,10 +381,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError) as exc:
         print(f"seprec: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at the null device so that the
+        # flush at exit cannot fail again and print a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -35,16 +35,16 @@ def validate(word: Iterable[int]) -> Word:
     w = tuple(word)
     if not w:
         raise ValueError("empty word is not a canonical form")
-    if w[0] != 1:
-        raise ValueError(f"not a restricted growth string at position 1: first letter must be 1, got {w[0]}")
-    biggest = 1
-    for i in range(1, len(w)):
-        v = w[i]
-        if not isinstance(v, int) or v < 1:
-            raise ValueError(f"not a restricted growth string at position {i + 1}: letters must be positive integers, got {v!r}")
+    biggest = 0
+    for i, v in enumerate(w, start=1):
+        # bool is an int subclass, and True would pass for the letter 1
+        if type(v) is not int or v < 1:
+            raise ValueError(f"not a restricted growth string at position {i}: letters must be positive integers, got {v!r}")
         if v > biggest + 1:
+            if i == 1:
+                raise ValueError(f"not a restricted growth string at position 1: first letter must be 1, got {v}")
             raise ValueError(
-                f"not a restricted growth string at position {i + 1}: {v} exceeds running maximum {biggest} + 1"
+                f"not a restricted growth string at position {i}: {v} exceeds running maximum {biggest} + 1"
             )
         if v > biggest:
             biggest = v
@@ -99,6 +99,23 @@ def from_blocks(blocks: Sequence[Iterable[int]]) -> Word:
     return validate(word)
 
 
+def _completions(word: list[int], i: int, biggest: int) -> Iterator[Word]:
+    """Every completion of ``word[:i]``, whose running maximum is ``biggest``,
+    to a restricted growth string of length ``len(word)``, in lexicographic
+    order.  Each yield is a fresh tuple of the shared buffer ``word``."""
+    n = len(word)
+
+    def extend(i: int, biggest: int) -> Iterator[Word]:
+        if i == n:
+            yield tuple(word)
+            return
+        for v in range(1, biggest + 2):
+            word[i] = v
+            yield from extend(i + 1, biggest if v <= biggest else v)
+
+    return extend(i, biggest)
+
+
 def iterate_all(n: int) -> Iterator[Word]:
     """All restricted growth strings of length ``n`` in lexicographic order.
 
@@ -109,17 +126,7 @@ def iterate_all(n: int) -> Iterator[Word]:
     """
     if n < 1:
         raise ValueError(f"word length must be positive, got {n}")
-    word = [1] * n
-
-    def extend(i: int, biggest: int) -> Iterator[Word]:
-        if i == n:
-            yield tuple(word)
-            return
-        for v in range(1, biggest + 2):
-            word[i] = v
-            yield from extend(i + 1, biggest if v <= biggest else v)
-
-    return extend(1, 1)
+    return _completions([1] * n, 1, 1)
 
 
 def iterate_with_k(n: int, k: int) -> Iterator[Word]:
@@ -157,17 +164,7 @@ def complete_prefix(prefix: Sequence[int], n: int) -> Iterator[Word]:
     p = validate(prefix)
     if len(p) > n:
         raise ValueError(f"prefix of length {len(p)} cannot start a word of length {n}")
-    word = list(p) + [1] * (n - len(p))
-
-    def extend(i: int, biggest: int) -> Iterator[Word]:
-        if i == n:
-            yield tuple(word)
-            return
-        for v in range(1, biggest + 2):
-            word[i] = v
-            yield from extend(i + 1, biggest if v <= biggest else v)
-
-    return extend(len(p), max(p))
+    return _completions(list(p) + [1] * (n - len(p)), len(p), max(p))
 
 
 def split_by_prefix(n: int, depth: int) -> list[tuple[Word, Iterator[Word]]]:
@@ -211,13 +208,11 @@ def parse_word(text: str) -> Word:
     text = text.strip()
     if not text:
         raise ValueError("empty word")
-    try:
-        if "," in text:
-            letters = tuple(int(part) for part in text.split(","))
-        else:
-            letters = tuple(int(ch) for ch in text)
-    except ValueError:
-        raise ValueError(f"cannot parse word {text!r}") from None
+    parts = [part.strip() for part in text.split(",")] if "," in text else list(text)
+    # int() alone would also take signs, underscores and non-ASCII digits
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ValueError(f"cannot parse word {text!r}")
+    letters = tuple(int(part) for part in parts)
     if any(v < 1 for v in letters):
         raise ValueError(f"letters must be positive integers, got {text!r}")
     return letters

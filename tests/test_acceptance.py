@@ -1,139 +1,72 @@
 """Acceptance suite: one test per exit criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines; the whole suite re-enumerates everything it checks, so it is the slow
-part of the test run (about a minute single-threaded).
+lines.  Criteria 01-08 run the ``seprec verify`` suites at the top of their
+ranges and add a few spot values and witnesses; the enumeration behind 01,
+02 and 04 makes this the slow part of the test run.
 """
 import math
 import subprocess
 import sys
 from fractions import Fraction
-from math import factorial
 
+import pytest
+
+from seprec import verify
 from seprec.asymptotics import estimate_ratio, solve_r
-from seprec.counting import bell
-from seprec.formulas import (
-    bell_shift_identities_check,
-    egf_coeffs,
-    pfd_coeffs,
-    pfd_oracle,
-    pfd_target_value,
-    pfd_value,
-    rational_series_totals,
-    total_sep_n,
-    total_sep_nk,
-)
-from seprec.oracle import brute_distribution_a, brute_total, brute_total_nk
-from seprec.series import distribution_series, sep_totals_by_length
+from seprec.formulas import egf_coeffs, pfd_coeffs, total_sep_n, total_sep_nk
 
 
-def _report(num: int, desc: str, failures: list) -> None:
-    ok = not failures
-    print(f"ACCEPTANCE {num:2d} {'PASS' if ok else 'FAIL'}: {desc}")
-    assert ok, f"criterion {num}: {failures[:5]}"
+def _report(num: int, result: tuple[bool, str], failures=()) -> None:
+    ok, detail = result
+    ok = ok and not failures
+    print(f"ACCEPTANCE {num:2d} {'PASS' if ok else 'FAIL'}: {detail}")
+    assert ok, f"criterion {num}: {detail} {list(failures)[:5]}"
 
 
-def test_criterion_01_per_block_totals_match_enumeration():
-    failures = []
-    for n in range(1, 13):
-        for k in range(1, n + 1):
-            want = brute_total_nk(n, k)
-            got = total_sep_nk(n, k)
-            if got != want:
-                failures.append((n, k, got, want))
-    for n, k, want in ((3, 2, 4), (4, 2, 11), (4, 3, 29), (4, 4, 10)):
-        if total_sep_nk(n, k) != want:
-            failures.append(("spot", n, k, want))
-    _report(1, "closed form equals enumeration on all 78 cells, 1 <= k <= n <= 12", failures)
+@pytest.fixture(scope="module")
+def totals_12():
+    """Closed form == rational expansion == q-derivative series ==
+    enumeration on all 78 cells 1 <= k <= n <= 12."""
+    return verify.totals(12, 1)
+
+
+def test_criterion_01_per_block_totals_match_enumeration(totals_12):
+    spots = [(n, k, want) for n, k, want in ((3, 2, 4), (4, 2, 11), (4, 3, 29), (4, 4, 10))
+             if total_sep_nk(n, k) != want]
+    _report(1, totals_12, spots)
 
 
 def test_criterion_02_bell_number_totals_match_enumeration():
-    failures = []
-    for n in range(1, 13):
-        want = brute_total(n)
-        got = total_sep_n(n)
-        if got != want:
-            failures.append((n, got, want))
-    for n, want in ((2, 1), (3, 8), (4, 50)):
-        if total_sep_n(n) != want:
-            failures.append(("spot", n, want))
-    _report(2, "Bell-number closed form equals enumeration for 1 <= n <= 12", failures)
+    spots = [(n, want) for n, want in ((2, 1), (3, 8), (4, 50)) if total_sep_n(n) != want]
+    _report(2, verify.bell_total(12, 1), spots)
 
 
 def test_criterion_03_distribution_series_match_enumeration():
-    failures = []
-    for n in range(1, 10):
-        for k in range(1, n + 1):
-            for a in range(1, k + 1):
-                got = distribution_series(k, a, n).coefficient(n).to_dict()
-                want = brute_distribution_a(n, k, a)
-                if got != want:
-                    failures.append((n, k, a))
-    _report(3, "series coefficients equal enumerated distributions, term by term, n <= 9", failures)
+    _report(3, verify.distribution(9, 1))
 
 
-def test_criterion_04_three_total_routes_agree():
-    failures = []
-    for n in range(1, 13):
-        for k in range(1, n + 1):
-            closed = total_sep_nk(n, k)
-            rational = rational_series_totals(k, n)[n]
-            qderiv = sep_totals_by_length(k, n)[n]
-            if not closed == rational == qderiv:
-                failures.append((n, k, closed, rational, qderiv))
-    _report(4, "rational expansion, q-derivative series, and closed form agree, n <= 12", failures)
+def test_criterion_04_three_total_routes_agree(totals_12):
+    _report(4, totals_12)
 
 
 def test_criterion_05_partial_fractions():
-    failures = []
-    for k in range(1, 16):
-        closed = pfd_coeffs(k)
-        if closed != pfd_oracle(k):
-            failures.append(("oracle", k))
-        for t in range(2 * k + 1):
-            y = Fraction(2 * k + 3 + 2 * t, 2)
-            if pfd_value(closed, y) != pfd_target_value(k, y):
-                failures.append(("probe", k, y))
     witness = pfd_coeffs(2)
-    if witness.b != (Fraction(-2), Fraction(2)) or witness.a != (Fraction(-1), Fraction(0)):
-        failures.append(("witness", witness))
-    _report(5, "closed partial fractions equal the residue oracle (k <= 15) and reconstruct exactly", failures)
+    ok = witness.b == (Fraction(-2), Fraction(2)) and witness.a == (Fraction(-1), Fraction(0))
+    _report(5, verify.pfd(12, 1), [] if ok else [("witness", witness)])
 
 
 def test_criterion_06_exponential_series():
-    failures = []
-    coeffs = egf_coeffs(30)
-    for n in range(31):
-        value = coeffs[n] * factorial(n)
-        want = 0 if n == 0 else total_sep_n(n)
-        if value != want:
-            failures.append(("coeff", n, value, want))
-    for name, ok in sorted(bell_shift_identities_check(30).items()):
-        if not ok:
-            failures.append(("shift", name))
-    _report(6, "exponential series reproduces the totals and shift identities, n <= 30", failures)
+    constant = egf_coeffs(30)[0]  # the suite checks n >= 1
+    _report(6, verify.egf(12, 1), [("coeff", 0, constant)] if constant else [])
 
 
 def test_criterion_07_integrality():
-    failures = []
-    for n in range(1, 201):
-        value = (
-            4 * bell(n + 3)
-            - 3 * bell(n + 2)
-            - (6 * n + 13) * bell(n + 1)
-            - (6 * n + 1) * bell(n)
-        )
-        if value % 12:
-            failures.append(n)
-    _report(7, "Bell combination divisible by 12 for n <= 200", failures)
+    _report(7, verify.integrality(12, 1))
 
 
 def test_criterion_08_row_sums():
-    failures = []
-    for n in range(1, 41):
-        if sum(total_sep_nk(n, k) for k in range(1, n + 1)) != total_sep_n(n):
-            failures.append(n)
-    _report(8, "per-k totals sum to the Bell-number total for n <= 40 (formula vs formula)", failures)
+    _report(8, verify.rowsum(12, 1))
 
 
 def test_criterion_09_asymptotics():
@@ -147,7 +80,8 @@ def test_criterion_09_asymptotics():
         r = solve_r(n)
         if abs(r * math.exp(r) - (n + 1)) > 1e-12 * (n + 1):
             failures.append(("residual", n))
-    _report(9, "estimate error strictly decreasing on {50,100,200,400}, <= 0.15 at 400; root residuals <= 1e-12", failures)
+    _report(9, (True, "estimate error strictly decreasing on {50,100,200,400}, <= 0.15 at 400; "
+                      "root residuals <= 1e-12"), failures)
 
 
 def test_criterion_10_verify_is_deterministic():
@@ -163,4 +97,4 @@ def test_criterion_10_verify_is_deterministic():
         failures.append(("stdout differs",))
     if not first.stdout.startswith(b"PASS"):
         failures.append(("unexpected output", first.stdout[:80]))
-    _report(10, "two runs of `verify --max-n 10` exit 0 with byte-identical reports", failures)
+    _report(10, (True, "two runs of `verify --max-n 10` exit 0 with byte-identical reports"), failures)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -9,7 +10,7 @@ from math import factorial
 
 import pytest
 
-from seprec import asymptotics, cli, formulas
+from seprec import asymptotics, cli, counting, formulas, series, setpart, stats, verify
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +153,47 @@ def test_total_prints_past_the_int_digit_limit(capsys):
         assert sys.get_int_max_str_digits() == limit
 
 
+def test_pfd_prints_past_the_int_digit_limit(capsys):
+    # the factorial denominators of pfd_coeffs(1600) pass CPython's default
+    # int-to-str limit; Decimal converts them without that limit
+    table = formulas.pfd_coeffs(1600)
+    want = {m: [str(Decimal(part)) for q in table.row(m) for part in (q.numerator, q.denominator)]
+            for m in (1, 1600)}
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, _ = run_cli(capsys, "pfd", "--k", "1600")
+    assert code == 0
+    lines = out.splitlines()
+    for m, line in ((1, lines[0]), (1600, lines[-1])):
+        a_num, a_den, b_num, b_den = want[m]
+        a = a_num if a_den == "1" else f"{a_num}/{a_den}"
+        b = b_num if b_den == "1" else f"{b_num}/{b_den}"
+        assert line == f"1600 {m} {a} {b}"
+    code, out, _ = run_cli(capsys, "pfd", "--k", "1600", "--format", "json")
+    assert code == 0
+    rows = json.loads(out, parse_int=str)["result"]
+    assert [rows[0]["a"] + rows[0]["b"], rows[-1]["a"] + rows[-1]["b"]] == [want[1], want[1600]]
+    code, out, _ = run_cli(capsys, "pfd", "--k", "1600", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [rows[1][2:], rows[-1][2:]] == [want[1], want[1600]]
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    proc = subprocess.Popen([sys.executable, "-m", "seprec.cli", "enumerate", "--n", "10"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert [proc.stdout.readline(), proc.stdout.readline()] == [b"1111111111\n", b"1111111112\n"]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+    finally:
+        proc.kill()
+        proc.wait()
+
+
 def test_total_egf_asserts_integrality(capsys, monkeypatch):
     monkeypatch.setattr(formulas, "egf_coeffs", lambda n: [Fraction(1, 2 * factorial(n))] * (n + 1))
     code, out, err = run_cli(capsys, "total", "--n", "3", "--method", "egf")
@@ -288,24 +330,36 @@ def test_verify_max_n_guard(capsys):
     assert code == 2
 
 
-def test_verify_detects_injected_sign_flip(capsys, monkeypatch):
-    # a single flipped formula must flip the exit code
-    original = formulas.total_sep_nk
-    monkeypatch.setattr(formulas, "total_sep_nk", lambda n, k: -original(n, k))
-    code, out, _ = run_cli(capsys, "verify", "--max-n", "4", "--suites", "totals")
-    assert code == 1
-    assert "FAIL" in out
+def test_verify_runs_the_suites_of_the_verify_module():
+    assert cli._SUITES is verify.SUITES
+    assert list(cli._SUITES) == ["counts", "roundtrip", "stats_dual", "totals", "bell_total",
+                                 "distribution", "pfd", "egf", "integrality", "rowsum"]
 
 
-def test_verify_detects_flipped_pfd_sign(capsys, monkeypatch):
-    original = formulas.pfd_coeffs
-    monkeypatch.setattr(
-        formulas, "pfd_coeffs",
-        lambda k, literal=False: original(k, literal=not literal),
-    )
-    code, out, _ = run_cli(capsys, "verify", "--suites", "pfd")
+# suite -> (module, attribute, fault built from the original); one fault each
+# must make its suite, and with it the exit code, fail
+FAULTS = {
+    "counts": (counting, "stirling2", lambda f: lambda n, k: f(n, k) + 1),
+    "roundtrip": (setpart, "from_blocks", lambda f: lambda blocks: tuple(sorted(f(blocks)))),
+    "stats_dual": (stats, "sep_by_positions", lambda f: lambda w: f(w) + 1),
+    "totals": (formulas, "total_sep_nk", lambda f: lambda n, k: -f(n, k)),
+    "bell_total": (formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),
+    "distribution": (series, "distribution_series",
+                     lambda f: lambda k, a, order, literal=False: f(k, a, order, literal=not literal)),
+    "pfd": (formulas, "pfd_coeffs", lambda f: lambda k, literal=False: f(k, literal=not literal)),
+    "egf": (formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),
+    "integrality": (counting, "bell", lambda f: lambda n: f(n) + 1),
+    "rowsum": (formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),
+}
+
+
+@pytest.mark.parametrize("suite", list(FAULTS))
+def test_verify_suite_fails_under_injected_fault(capsys, monkeypatch, suite):
+    module, name, fault = FAULTS[suite]
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "4", "--suites", suite)
     assert code == 1
-    assert "FAIL pfd" in out
+    assert out.startswith(f"FAIL {suite}: ")
 
 
 def test_verify_deterministic_output(capsys):

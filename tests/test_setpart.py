@@ -49,6 +49,9 @@ def test_validate_reports_first_offending_position():
         validate([1, 1, 0])
     with pytest.raises(ValueError):
         validate([])
+    for word, position in (((True,), 1), ((1.0,), 1), ((1, True), 2), ((1, 2.0), 2)):
+        with pytest.raises(ValueError, match=f"position {position}: letters must be positive integers"):
+            validate(word)
 
 
 def test_to_blocks_examples():
@@ -180,6 +183,10 @@ def test_parse_word():
         parse_word("1,x")
     with pytest.raises(ValueError):
         parse_word("102")  # bare digits read one letter at a time; 0 is invalid
+    assert parse_word(" 1, 2 ,10 ") == (1, 2, 10)
+    for text in ("\u0661\u0662", "1,1_0", "1,+2", "1,2,\u0661\u0660", "1,,2"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_word(text)
 
 
 @given(rgs_words)
