@@ -28,16 +28,30 @@ LITERAL_WARNING = (
 )
 
 
-def _dump_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str) -> None:
+    """Write composed output to stdout in full.
+
+    Unbuffered stdout (``python -u``, PYTHONUNBUFFERED) writes through to a
+    raw file, which takes only part of a large write when the reader leaves,
+    and the text layer drops the rest.  Writing the bytes until all are taken
+    makes the next write after the reader has gone raise BrokenPipeError.
+    """
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[sys.stdout.buffer.write(data):]
 
 
-def _dump_csv(header: list[str], rows: list[list]) -> str:
+def _write_json(payload) -> None:
+    _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(header: list[str], rows: list[list]) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    _write_text(buf.getvalue())
 
 
 def _envelope(command: str, params: dict, result) -> dict:
@@ -83,9 +97,9 @@ def _cmd_enumerate(args) -> int:
     if args.format == "json":
         params = {"n": n, "k": k}
         result = {"count": len(formatted), "words": formatted}
-        sys.stdout.write(_dump_json(_envelope("enumerate", params, result)))
+        _write_json(_envelope("enumerate", params, result))
     else:
-        sys.stdout.write(_dump_csv(["word"], [[w] for w in formatted]))
+        _write_csv(["word"], [[w] for w in formatted])
     return 0
 
 
@@ -124,44 +138,40 @@ def _cmd_stat(args) -> int:
                 print(f"{name} {value}")
     elif args.format == "json":
         params = {"word": args.word, "stats": args.stats, "a": args.a}
-        sys.stdout.write(_dump_json(_envelope("stat", params, dict(results))))
+        _write_json(_envelope("stat", params, dict(results)))
     else:
         rows = [[name, json.dumps(value) if isinstance(value, list) else value]
                 for name, value in results]
-        sys.stdout.write(_dump_csv(["stat", "value"], rows))
+        _write_csv(["stat", "value"], rows)
     return 0
 
 
 # -------------------------------------------------------------------- total
 
 def _total_value(n: int, k, method: str) -> int:
+    literal = method == "literal"
     if k is None:
         if method == "formula":
             return formulas.total_sep_n(n)
         if method == "brute":
             return oracle.brute_total(n)
-        if method == "series":
-            return sum(series.sep_totals_by_length(k2, n)[n] for k2 in range(1, n + 1))
+        if method in ("series", "literal"):
+            return sum(series.sep_totals_by_length(k2, n, literal=literal)[n]
+                       for k2 in range(1, n + 1))
         if method == "egf":
             total = formulas.egf_coeffs(n)[n] * factorial(n)
             if total.denominator != 1:
                 raise ArithmeticError(f"exponential-series total for n={n} is not an integer: {total}")
             return total.numerator
-        if method == "literal":
-            return sum(
-                series.sep_totals_by_length(k2, n, literal=True)[n] for k2 in range(1, n + 1)
-            )
     else:
         if method == "formula":
             return formulas.total_sep_nk(n, k)
         if method == "brute":
             return oracle.brute_total_nk(n, k)
-        if method == "series":
-            return series.sep_totals_by_length(k, n)[n]
+        if method in ("series", "literal"):
+            return series.sep_totals_by_length(k, n, literal=literal)[n]
         if method == "egf":
             raise ValueError("method 'egf' computes the all-partitions total; drop --k")
-        if method == "literal":
-            return series.sep_totals_by_length(k, n, literal=True)[n]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -175,11 +185,10 @@ def _cmd_total(args) -> int:
         print(text)
     elif args.format == "json":
         params = {"n": args.n, "k": args.k, "method": args.method}
-        sys.stdout.write(_dump_json(_envelope("total", params, text)))
+        _write_json(_envelope("total", params, text))
     else:
-        sys.stdout.write(_dump_csv(["n", "k", "method", "total"],
-                                   [[args.n, "" if args.k is None else args.k,
-                                     args.method, text]]))
+        _write_csv(["n", "k", "method", "total"],
+                   [[args.n, "" if args.k is None else args.k, args.method, text]])
     return 0
 
 
@@ -211,13 +220,13 @@ def _cmd_pfd(args) -> int:
                 {"m": m, "a": [am.numerator, am.denominator], "b": [bm.numerator, bm.denominator]}
                 for m, am, bm in rows
             ]
-            sys.stdout.write(_dump_json(_envelope("pfd", params, result)))
+            _write_json(_envelope("pfd", params, result))
         else:
-            sys.stdout.write(_dump_csv(
+            _write_csv(
                 ["k", "m", "a_num", "a_den", "b_num", "b_den"],
                 [[args.k, m, am.numerator, am.denominator, bm.numerator, bm.denominator]
                  for m, am, bm in rows],
-            ))
+            )
     return 0
 
 
@@ -232,13 +241,13 @@ def _cmd_series(args) -> int:
     elif args.format == "json":
         params = {"k": args.k, "a": args.a, "order": args.order, "literal": args.literal}
         result = [[n, sorted(c.to_dict().items())] for n, c in enumerate(xs.coeffs)]
-        sys.stdout.write(_dump_json(_envelope("series", params, result)))
+        _write_json(_envelope("series", params, result))
     else:
         rows = []
         for n, c in enumerate(xs.coeffs):
             for s, count in sorted(c.to_dict().items()):
                 rows.append([n, s, count])
-        sys.stdout.write(_dump_csv(["n", "s", "count"], rows))
+        _write_csv(["n", "s", "count"], rows)
     return 0
 
 
@@ -251,7 +260,7 @@ def _cmd_asym(args) -> int:
     if not ns:
         raise ValueError("empty --n-list")
     if args.format == "csv":
-        sys.stdout.write(asymptotics.sweep_csv(ns, literal=args.literal))
+        _write_text(asymptotics.sweep_csv(ns, literal=args.literal))
         return 0
     reports = asymptotics.sweep(ns, literal=args.literal)
     if args.format == "json":
@@ -267,7 +276,7 @@ def _cmd_asym(args) -> int:
             }
             for rep in reports
         ]
-        sys.stdout.write(_dump_json(_envelope("asym", params, result)))
+        _write_json(_envelope("asym", params, result))
     else:
         print(f"{'n':>6} {'r':>16} {'ratio':>16} {'abs_err':>16}")
         for rep in reports:
@@ -305,7 +314,7 @@ def _cmd_verify(args) -> int:
             {"max_n": max_n, "suites": ",".join(names)},
             {"ok": not failed, "suites": results},
         )
-        sys.stdout.write(_dump_json(payload))
+        _write_json(payload)
     else:
         for r in results:
             print(f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}")

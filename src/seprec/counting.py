@@ -2,12 +2,17 @@
 
 All values are plain Python integers, so they stay exact at any size.  The
 Stirling and Bell tables are memoized module-level triangles that grow on
-demand; rows are never mutated once written, so concurrent readers are safe
-(growth itself is single-writer).
+demand.  Growth holds ``_grow_lock`` and re-checks the length under it, so
+threads that grow a table at once append each row exactly once; a row is
+complete before it is appended and never mutated after, so a lookup in a
+table that is already long enough takes no lock.
 """
 from __future__ import annotations
 
+import threading
 from math import comb
+
+_grow_lock = threading.Lock()
 
 # Stirling triangle rows: _stirling[n][k] = S(n, k) for 0 <= k <= n.
 _stirling: list[list[int]] = [[1]]
@@ -49,15 +54,17 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError(f"stirling2 arguments must be nonnegative, got ({n}, {k})")
     if k > n:
         return 0
-    while len(_stirling) <= n:
-        prev = _stirling[-1]
-        m = len(_stirling)
-        # S(m, k) = k*S(m-1, k) + S(m-1, k-1); boundary k=0 and k=m.
-        row = [0]
-        for j in range(1, m):
-            row.append(j * prev[j] + prev[j - 1])
-        row.append(1)
-        _stirling.append(row)
+    if len(_stirling) <= n:
+        with _grow_lock:
+            while len(_stirling) <= n:
+                prev = _stirling[-1]
+                m = len(_stirling)
+                # S(m, k) = k*S(m-1, k) + S(m-1, k-1); boundary k=0 and k=m.
+                row = [0]
+                for j in range(1, m):
+                    row.append(j * prev[j] + prev[j - 1])
+                row.append(1)
+                _stirling.append(row)
     return _stirling[n][k]
 
 
@@ -70,10 +77,12 @@ def bell(n: int) -> int:
     if n < 0:
         raise ValueError(f"bell argument must be nonnegative, got {n}")
     global _bell_row
-    while len(_bell) <= n:
-        row = [_bell_row[-1]]
-        for x in _bell_row:
-            row.append(row[-1] + x)
-        _bell.append(row[0])
-        _bell_row = row
+    if len(_bell) <= n:
+        with _grow_lock:
+            while len(_bell) <= n:
+                row = [_bell_row[-1]]
+                for x in _bell_row:
+                    row.append(row[-1] + x)
+                _bell.append(row[0])
+                _bell_row = row
     return _bell[n]

@@ -13,6 +13,18 @@ Golden text formats (stable, whitespace-separated, sorted):
 
 * totals:        ``n k total`` per line,
 * distributions: ``n k a s count`` per line.
+
+``brute_totals_by_k`` is the one pass over all words of [n] behind the sep
+totals (``brute_total`` and ``totals_golden_lines`` read it).  Its per-k
+totals are kept in one process-wide memo keyed ``(n, workers)``, so the
+``totals`` and ``bell_total`` verify suites enumerate each n once; the key
+includes ``workers`` so that a call with another worker count runs its own
+path.  Each call returns a fresh dict.  ``brute_total_nk`` keeps its pruned per-cell
+stream and no memo: it is the reference for ``brute_totals_by_k`` per cell.
+Two threads that miss the same key both enumerate it, which wastes work but
+stores equal tuples.  The memo keeps what the enumeration produced, so a test
+that patches ``setpart`` or ``stats`` to fault the enumeration must first
+swap in an empty memo: ``monkeypatch.setattr(oracle, "_totals_memo", {})``.
 """
 from __future__ import annotations
 
@@ -23,19 +35,13 @@ from . import setpart, stats
 MAX_TOTAL_N = 12
 MAX_DIST_N = 9
 
-_total_cache: dict[tuple[int, int, bool], int] = {}
+# (n, workers) -> (total for k = 1, ..., total for k = n)
+_totals_memo: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
-def _sep_fn(dual: bool):
-    return stats.sep_by_positions if dual else stats.sep
-
-
-def brute_total_nk(n: int, k: int, dual: bool = False) -> int:
+def brute_total_nk(n: int, k: int) -> int:
     """Sum of ``sep`` over all partitions of [n] with exactly ``k`` blocks,
     by enumerating them.
-
-    With ``dual=True`` the statistic is computed by the independent
-    position-counting formula instead of the per-record prefix sums.
 
     >>> brute_total_nk(3, 2)
     4
@@ -46,49 +52,42 @@ def brute_total_nk(n: int, k: int, dual: bool = False) -> int:
     """
     if not 1 <= k <= n <= MAX_TOTAL_N:
         raise ValueError(f"need 1 <= k <= n <= {MAX_TOTAL_N}, got k={k}, n={n}")
-    key = (n, k, dual)
-    if key not in _total_cache:
-        sep = _sep_fn(dual)
-        _total_cache[key] = sum(sep(w) for w in setpart.iterate_with_k(n, k))
-    return _total_cache[key]
+    return sum(map(stats.sep, setpart.iterate_with_k(n, k)))
 
 
-def brute_total(n: int, dual: bool = False) -> int:
+def brute_total(n: int) -> int:
     """Sum of ``sep`` over all set partitions of [n], by enumeration.
 
     >>> [brute_total(n) for n in range(1, 5)]
     [0, 1, 8, 50]
     """
-    if not 1 <= n <= MAX_TOTAL_N:
-        raise ValueError(f"need 1 <= n <= {MAX_TOTAL_N}, got n={n}")
-    key = (n, 0, dual)
-    if key not in _total_cache:
-        sep = _sep_fn(dual)
-        _total_cache[key] = sum(sep(w) for w in setpart.iterate_all(n))
-    return _total_cache[key]
+    return sum(brute_totals_by_k(n).values())
 
 
 def brute_totals_by_k(n: int, workers: int = 1) -> dict[int, int]:
     """Per-block-count totals {k: sum of sep over partitions with k blocks}
-    computed in a single pass over all partitions of [n].
+    computed in a single pass over all partitions of [n], memoized.
 
-    ``workers > 1`` fans the pass out over depth-2 prefix sub-streams; the
+    ``workers > 1`` fans the pass out over depth-4 prefix sub-streams; the
     reduction is exact integer addition, so the result does not depend on the
     worker count.
     """
     if not 1 <= n <= MAX_TOTAL_N:
         raise ValueError(f"need 1 <= n <= {MAX_TOTAL_N}, got n={n}")
-    if workers > 1 and n > 2:
-        depth = min(4, n - 1)  # B_4 = 15 chunks at full depth, enough to balance
-        chunks = [(tuple(p), n) for p, _ in setpart.split_by_prefix(n, depth)]
-        totals = [0] * (n + 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_prefix_totals, chunks):
-                for k, t in enumerate(part):
-                    totals[k] += t
-    else:
-        totals = _stream_totals(setpart.iterate_all(n), n)
-    return {k: totals[k] for k in range(1, n + 1)}
+    key = (n, workers)
+    if key not in _totals_memo:
+        if workers > 1 and n > 2:
+            depth = min(4, n - 1)  # B_4 = 15 chunks at full depth, enough to balance
+            chunks = [(tuple(p), n) for p, _ in setpart.split_by_prefix(n, depth)]
+            totals = [0] * (n + 1)
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for part in pool.map(_prefix_totals, chunks):
+                    for k, t in enumerate(part):
+                        totals[k] += t
+        else:
+            totals = _stream_totals(setpart.iterate_all(n), n)
+        _totals_memo[key] = tuple(totals[1:])
+    return dict(enumerate(_totals_memo[key], start=1))
 
 
 def _stream_totals(words, n: int) -> list[int]:

@@ -2,8 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criteria 01-08 run the ``seprec verify`` suites at the top of their
-ranges and add a few spot values and witnesses; the enumeration behind 01,
-02 and 04 makes this the slow part of the test run.
+ranges and add a few spot values and witnesses.  Only the ``totals_12``
+fixture behind 01 and 04 enumerates the words of [n], n <= 12, which makes it
+the slow part of the test run; criterion 02 reads the same totals from the
+oracle's memo.
 """
 import math
 import subprocess

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -180,11 +181,19 @@ def test_pfd_prints_past_the_int_digit_limit(capsys):
         assert sys.get_int_max_str_digits() == limit
 
 
-def test_closed_stdout_exits_141_without_traceback():
-    proc = subprocess.Popen([sys.executable, "-m", "seprec.cli", "enumerate", "--n", "10"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+@pytest.mark.parametrize("argv, unbuffered, head", [
+    (("--n", "10"), False, [b"1111111111\n", b"1111111112\n"]),
+    # unbuffered stdout takes a short write of the composed text when the reader
+    # leaves; B_9 words make 200-400 KB, several times the 64 KiB pipe buffer
+    (("--n", "9", "--format", "json"), True, [b"{\n", b'  "command": "enumerate",\n']),
+    (("--n", "9", "--format", "csv"), True, [b"word\n", b"111111111\n"]),
+], ids=["plain", "json_unbuffered", "csv_unbuffered"])
+def test_closed_stdout_exits_141_without_traceback(argv, unbuffered, head):
+    env = {**os.environ, "PYTHONUNBUFFERED": "1"} if unbuffered else None
+    proc = subprocess.Popen([sys.executable, "-m", "seprec.cli", "enumerate", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
-        assert [proc.stdout.readline(), proc.stdout.readline()] == [b"1111111111\n", b"1111111112\n"]
+        assert [proc.stdout.readline(), proc.stdout.readline()] == head
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141

@@ -1,8 +1,11 @@
+import sys
+import threading
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+from seprec import counting
 from seprec.counting import bell, binomial, stirling2
 
 
@@ -94,3 +97,33 @@ def test_bell_count_matches_enumeration():
 
     for n in range(1, 8):
         assert bell(n) == sum(1 for _ in iterate_all(n))
+
+
+def test_tables_grown_by_several_threads_at_once(monkeypatch):
+    want = (stirling2(300, 7), bell(300))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(counting, "_stirling", [[1]])
+            monkeypatch.setattr(counting, "_bell", [1])
+            monkeypatch.setattr(counting, "_bell_row", [1])
+            results, errors = [], []
+
+            def grow():
+                try:
+                    results.append((stirling2(300, 7), bell(300)))
+                except Exception as exc:  # reported by the assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=grow) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == [] and results == [want] * 4
+            assert [len(row) for row in counting._stirling] == list(range(1, 302))
+            assert len(counting._bell) == 301
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import pytest
 
-from seprec.counting import stirling2
+from seprec import cli, oracle, setpart
+from seprec.counting import bell, stirling2
 from seprec.oracle import (
     MAX_DIST_N,
     MAX_TOTAL_N,
@@ -34,13 +37,6 @@ def test_total_is_sum_over_block_counts():
         assert brute_total(n) == sum(brute_total_nk(n, k) for k in range(1, n + 1))
 
 
-def test_dual_statistic_route_agrees():
-    for n in range(1, 9):
-        assert brute_total(n) == brute_total(n, dual=True)
-        for k in range(1, n + 1):
-            assert brute_total_nk(n, k) == brute_total_nk(n, k, dual=True)
-
-
 def test_totals_by_k_matches_per_cell():
     for n in range(1, 9):
         by_k = brute_totals_by_k(n)
@@ -49,9 +45,45 @@ def test_totals_by_k_matches_per_cell():
             assert total == brute_total_nk(n, k)
 
 
-def test_totals_by_k_parallel_matches_sequential():
+def test_totals_by_k_parallel_matches_sequential(monkeypatch):
+    monkeypatch.setattr(oracle, "_totals_memo", {})
+    fanouts = []
+    split = setpart.split_by_prefix
+
+    def counted(n, depth):
+        fanouts.append(n)
+        return split(n, depth)
+
+    monkeypatch.setattr(setpart, "split_by_prefix", counted)
     for n in (5, 7):
-        assert brute_totals_by_k(n, workers=2) == brute_totals_by_k(n)
+        serial = brute_totals_by_k(n)
+        assert brute_totals_by_k(n, workers=2) == serial
+    # a serial result in the memo does not stand in for the two-worker pass
+    assert fanouts == [5, 7]
+
+
+def test_totals_by_k_returns_a_fresh_dict():
+    first = brute_totals_by_k(6)
+    want = dict(first)
+    first[2] += 1
+    del first[3]
+    assert brute_totals_by_k(6) == want
+
+
+def test_verify_totals_suites_enumerate_each_n_once(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_totals_memo", {})
+    words = Counter()
+    iterate_all = setpart.iterate_all
+
+    def counted(n):
+        for w in iterate_all(n):
+            words[n] += 1
+            yield w
+
+    monkeypatch.setattr(setpart, "iterate_all", counted)
+    assert cli.main(["verify", "--suites", "totals,bell_total", "--max-n", "6"]) == 0
+    assert capsys.readouterr().out.endswith("RESULT PASS (2/2 suites)\n")
+    assert words == {n: bell(n) for n in range(1, 7)}
 
 
 def test_range_guards():
