@@ -20,7 +20,7 @@ import os
 import sys
 from math import factorial
 
-from . import asymptotics, formulas, oracle, series, setpart, stats, verify
+from . import asymptotics, counting, formulas, oracle, series, setpart, stats, verify
 
 LITERAL_WARNING = (
     "warning: --literal uses the non-validated textbook variant of the formula; "
@@ -86,6 +86,11 @@ def _workers() -> int:
 
 # ---------------------------------------------------------------- enumerate
 
+# json and csv build the whole listing before they write it (B_12 = 4,213,597
+# words take about 750 MiB), so they refuse longer listings; plain streams.
+MAX_LISTED_WORDS = 5_000_000
+
+
 def _cmd_enumerate(args) -> int:
     n, k = args.n, args.k
     words = setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
@@ -93,6 +98,10 @@ def _cmd_enumerate(args) -> int:
         for w in words:
             print(setpart.format_word(w))
         return 0
+    count = counting.bell(n) if k is None else counting.stirling2(n, k)
+    if count > MAX_LISTED_WORDS:
+        raise ValueError(f"--format {args.format} holds the whole listing in memory: {count} words "
+                         f"exceed its budget of {MAX_LISTED_WORDS}; --format plain streams")
     formatted = [setpart.format_word(w) for w in words]
     if args.format == "json":
         params = {"n": n, "k": k}

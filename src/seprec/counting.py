@@ -6,6 +6,10 @@ demand.  Growth holds ``_grow_lock`` and re-checks the length under it, so
 threads that grow a table at once append each row exactly once; a row is
 complete before it is appended and never mutated after, so a lookup in a
 table that is already long enough takes no lock.
+
+Both tables have a size budget.  The Stirling rows up to n hold O(n^3) bits
+(at n = 1000, about 230 MiB, built in 0.4 s); B_3003, the Bell number that
+``formulas.total_sep_n`` reads at its budget n = 3000, takes about 4 s cold.
 """
 from __future__ import annotations
 
@@ -13,6 +17,9 @@ import threading
 from math import comb
 
 _grow_lock = threading.Lock()
+
+MAX_STIRLING_N = 1000
+MAX_BELL_N = 3003
 
 # Stirling triangle rows: _stirling[n][k] = S(n, k) for 0 <= k <= n.
 _stirling: list[list[int]] = [[1]]
@@ -52,6 +59,8 @@ def stirling2(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError(f"stirling2 arguments must be nonnegative, got ({n}, {k})")
+    if n > MAX_STIRLING_N:
+        raise ValueError(f"need n <= {MAX_STIRLING_N} for S(n, k) (Stirling table budget), got n={n}")
     if k > n:
         return 0
     if len(_stirling) <= n:
@@ -76,6 +85,8 @@ def bell(n: int) -> int:
     """
     if n < 0:
         raise ValueError(f"bell argument must be nonnegative, got {n}")
+    if n > MAX_BELL_N:
+        raise ValueError(f"need n <= {MAX_BELL_N} for B_n (Bell table budget), got n={n}")
     global _bell_row
     if len(_bell) <= n:
         with _grow_lock:

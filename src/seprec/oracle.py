@@ -15,16 +15,10 @@ Golden text formats (stable, whitespace-separated, sorted):
 * distributions: ``n k a s count`` per line.
 
 ``brute_totals_by_k`` is the one pass over all words of [n] behind the sep
-totals (``brute_total`` and ``totals_golden_lines`` read it).  Its per-k
-totals are kept in one process-wide memo keyed ``(n, workers)``, so the
-``totals`` and ``bell_total`` verify suites enumerate each n once; the key
-includes ``workers`` so that a call with another worker count runs its own
-path.  Each call returns a fresh dict.  ``brute_total_nk`` keeps its pruned per-cell
-stream and no memo: it is the reference for ``brute_totals_by_k`` per cell.
-Two threads that miss the same key both enumerate it, which wastes work but
-stores equal tuples.  The memo keeps what the enumeration produced, so a test
-that patches ``setpart`` or ``stats`` to fault the enumeration must first
-swap in an empty memo: ``monkeypatch.setattr(oracle, "_totals_memo", {})``.
+totals (``brute_total`` and ``totals_golden_lines`` read it): a depth-first
+census with one leaf per word, which sums nothing in closed form and keeps no
+cache.  ``brute_total_nk`` keeps its pruned per-cell stream through
+``stats.sep``: it is the reference for ``brute_totals_by_k`` per cell.
 """
 from __future__ import annotations
 
@@ -34,9 +28,6 @@ from . import setpart, stats
 
 MAX_TOTAL_N = 12
 MAX_DIST_N = 9
-
-# (n, workers) -> (total for k = 1, ..., total for k = n)
-_totals_memo: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 def brute_total_nk(n: int, k: int) -> int:
@@ -66,41 +57,48 @@ def brute_total(n: int) -> int:
 
 def brute_totals_by_k(n: int, workers: int = 1) -> dict[int, int]:
     """Per-block-count totals {k: sum of sep over partitions with k blocks}
-    computed in a single pass over all partitions of [n], memoized.
+    computed in a single pass over all partitions of [n].
 
-    ``workers > 1`` fans the pass out over depth-4 prefix sub-streams; the
-    reduction is exact integer addition, so the result does not depend on the
-    worker count.
+    ``workers > 1`` hands the depth-4 prefixes to a process pool, at most one
+    worker per prefix; the reduction is exact integer addition, so the result
+    does not depend on the worker count.
     """
     if not 1 <= n <= MAX_TOTAL_N:
         raise ValueError(f"need 1 <= n <= {MAX_TOTAL_N}, got n={n}")
-    key = (n, workers)
-    if key not in _totals_memo:
-        if workers > 1 and n > 2:
-            depth = min(4, n - 1)  # B_4 = 15 chunks at full depth, enough to balance
-            chunks = [(tuple(p), n) for p, _ in setpart.split_by_prefix(n, depth)]
-            totals = [0] * (n + 1)
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_prefix_totals, chunks):
-                    for k, t in enumerate(part):
-                        totals[k] += t
-        else:
-            totals = _stream_totals(setpart.iterate_all(n), n)
-        _totals_memo[key] = tuple(totals[1:])
-    return dict(enumerate(_totals_memo[key], start=1))
+    if workers > 1 and n > 2:
+        prefixes = list(setpart.iterate_all(min(4, n - 1)))  # B_4 = 15 at full depth
+        with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as pool:
+            totals = [sum(col) for col in zip(*pool.map(_census, prefixes, [n] * len(prefixes)))]
+    else:
+        totals = _census((1,), n)
+    return dict(enumerate(totals[1:], start=1))
 
 
-def _stream_totals(words, n: int) -> list[int]:
-    sep = stats.sep
+def _census(prefix: tuple[int, ...], n: int) -> list[int]:
+    """Sep totals by block count over the length-``n`` restricted growth
+    strings that start with ``prefix``.
+
+    A node carries (length, running max, letter sum, sep): a letter up to the
+    max keeps sep, and the record max + 1 adds the letter sum before it.  The
+    last letter is chosen in a loop, one leaf per word.
+    """
     totals = [0] * (n + 1)
-    for w in words:
-        totals[max(w)] += sep(w)
+
+    def walk(i: int, biggest: int, letters: int, sep: int) -> None:
+        if i == n - 1:
+            for _ in range(biggest):  # the words whose last letter repeats one
+                totals[biggest] += sep
+            totals[biggest + 1] += sep + letters  # the word ending in a record
+            return
+        for v in range(1, biggest + 1):
+            walk(i + 1, biggest, letters + v, sep)
+        walk(i + 1, biggest + 1, letters + biggest + 1, sep + letters)
+
+    if len(prefix) == n:
+        totals[max(prefix)] += stats.sep(prefix)
+    else:
+        walk(len(prefix), max(prefix), sum(prefix), stats.sep(prefix))
     return totals
-
-
-def _prefix_totals(chunk: tuple[tuple[int, ...], int]) -> list[int]:
-    prefix, n = chunk
-    return _stream_totals(setpart.complete_prefix(prefix, n), n)
 
 
 def brute_distribution_a(n: int, k: int, a: int) -> dict[int, int]:

@@ -2,10 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criteria 01-08 run the ``seprec verify`` suites at the top of their
-ranges and add a few spot values and witnesses.  Only the ``totals_12``
-fixture behind 01 and 04 enumerates the words of [n], n <= 12, which makes it
-the slow part of the test run; criterion 02 reads the same totals from the
-oracle's memo.
+ranges and add a few spot values and witnesses.  The ``totals_12`` fixture
+behind 01 and 04 and criterion 02 each run the oracle's census over the words
+of [n], n <= 12, about a second each.
 """
 import math
 import subprocess

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from seprec import asymptotics, cli, counting, formulas, series, setpart, stats, verify
+from seprec import asymptotics, cli, counting, formulas, oracle, series, setpart, stats, verify
 
 
 def run_cli(capsys, *argv):
@@ -49,6 +50,12 @@ def test_enumerate_rejects_bad_range(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "3", "--k", "5")
     assert code == 2
     assert "error" in err
+
+
+def test_enumerate_listing_budget_counts_the_words_listed(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "20", "--k", "20", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["words"] == [",".join(map(str, range(1, 21)))]
 
 
 def test_stat_sep(capsys):
@@ -136,6 +143,28 @@ def test_total_egf_rejects_k(capsys):
 def test_total_brute_cap(capsys):
     code, _, err = run_cli(capsys, "total", "--n", "13", "--method", "brute")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("total", "--n", formulas.MAX_BELL_TOTAL_N + 1),
+    ("total", "--n", counting.MAX_STIRLING_N + 1, "--k", 2),
+    ("total", "--n", oracle.MAX_TOTAL_N + 1, "--method", "brute"),
+    ("total", "--n", series.MAX_TOTALS_ORDER + 1, "--method", "series"),
+    ("total", "--n", series.MAX_TOTALS_ORDER + 1, "--k", 2, "--method", "series"),
+    ("total", "--n", formulas.MAX_EGF_ORDER + 1, "--method", "egf"),
+    ("series", "--k", 1, "--a", 1, "--order", series.MAX_ORDER + 1),
+    ("pfd", "--k", formulas.MAX_PFD_K + 1),
+    ("pfd", "--k", formulas.MAX_PFD_ORACLE_K + 1, "--oracle"),
+    ("enumerate", "--n", 13, "--format", "json"),  # B_12 <= cli.MAX_LISTED_WORDS < B_13
+    ("enumerate", "--n", 13, "--format", "csv"),
+], ids=["total", "total_k", "brute", "series", "series_k", "egf", "series_order", "pfd", "pfd_oracle",
+        "enumerate_json", "enumerate_csv"])
+def test_one_past_a_size_budget_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *map(str, argv))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("seprec: error: ") and err.count("\n") == 1
 
 
 def test_total_prints_past_the_int_digit_limit(capsys):

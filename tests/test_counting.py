@@ -81,6 +81,13 @@ def test_bell_rejects_negative():
         bell(-1)
 
 
+def test_tables_refuse_rows_past_their_budget():
+    with pytest.raises(ValueError, match="budget"):
+        stirling2(counting.MAX_STIRLING_N + 1, 1)
+    with pytest.raises(ValueError, match="budget"):
+        bell(counting.MAX_BELL_N + 1)
+
+
 def test_bell_equals_binomial_recurrence():
     want = bell_binomial_recurrence(40)
     for n in range(41):

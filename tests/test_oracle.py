@@ -1,9 +1,7 @@
-from collections import Counter
-
 import pytest
 
-from seprec import cli, oracle, setpart
-from seprec.counting import bell, stirling2
+from seprec import oracle, setpart, stats
+from seprec.counting import stirling2
 from seprec.oracle import (
     MAX_DIST_N,
     MAX_TOTAL_N,
@@ -45,21 +43,45 @@ def test_totals_by_k_matches_per_cell():
             assert total == brute_total_nk(n, k)
 
 
-def test_totals_by_k_parallel_matches_sequential(monkeypatch):
-    monkeypatch.setattr(oracle, "_totals_memo", {})
-    fanouts = []
-    split = setpart.split_by_prefix
+def test_totals_by_k_match_per_word_statistics():
+    for n in range(1, 10):
+        by_sep = [0] * (n + 1)
+        by_positions = [0] * (n + 1)
+        for w in setpart.iterate_all(n):
+            by_sep[max(w)] += stats.sep(w)
+            by_positions[max(w)] += stats.sep_by_positions(w)
+        assert by_sep == by_positions
+        assert brute_totals_by_k(n) == dict(enumerate(by_sep[1:], start=1))
 
-    def counted(n, depth):
-        fanouts.append(n)
-        return split(n, depth)
 
-    monkeypatch.setattr(setpart, "split_by_prefix", counted)
+def test_totals_by_k_parallel_matches_sequential():
     for n in (5, 7):
-        serial = brute_totals_by_k(n)
-        assert brute_totals_by_k(n, workers=2) == serial
-    # a serial result in the memo does not stand in for the two-worker pass
-    assert fanouts == [5, 7]
+        assert brute_totals_by_k(n, workers=2) == brute_totals_by_k(n)
+
+
+def test_totals_by_k_pool_has_at_most_one_worker_per_prefix(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+    for n in (3, 4, 8):
+        assert brute_totals_by_k(n, workers=10**6) == brute_totals_by_k(n)
+    # depth-2, depth-3 and depth-4 prefixes: B_2, B_3 and B_4 chunks
+    assert sizes == [2, 5, 15]
 
 
 def test_totals_by_k_returns_a_fresh_dict():
@@ -68,22 +90,6 @@ def test_totals_by_k_returns_a_fresh_dict():
     first[2] += 1
     del first[3]
     assert brute_totals_by_k(6) == want
-
-
-def test_verify_totals_suites_enumerate_each_n_once(capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "_totals_memo", {})
-    words = Counter()
-    iterate_all = setpart.iterate_all
-
-    def counted(n):
-        for w in iterate_all(n):
-            words[n] += 1
-            yield w
-
-    monkeypatch.setattr(setpart, "iterate_all", counted)
-    assert cli.main(["verify", "--suites", "totals,bell_total", "--max-n", "6"]) == 0
-    assert capsys.readouterr().out.endswith("RESULT PASS (2/2 suites)\n")
-    assert words == {n: bell(n) for n in range(1, 7)}
 
 
 def test_range_guards():
