@@ -58,6 +58,12 @@ def test_enumerate_listing_budget_counts_the_words_listed(capsys):
     assert json.loads(out)["result"]["words"] == [",".join(map(str, range(1, 21)))]
 
 
+def test_enumerate_one_long_word(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "1000", "--k", "1000")
+    assert code == 0
+    assert out == ",".join(map(str, range(1, 1001))) + "\n"
+
+
 def test_stat_sep(capsys):
     code, out, _ = run_cli(capsys, "stat", "--word", "121132", "--stats", "sep")
     assert code == 0
@@ -157,8 +163,9 @@ def test_total_brute_cap(capsys):
     ("pfd", "--k", formulas.MAX_PFD_ORACLE_K + 1, "--oracle"),
     ("enumerate", "--n", 13, "--format", "json"),  # B_12 <= cli.MAX_LISTED_WORDS < B_13
     ("enumerate", "--n", 13, "--format", "csv"),
+    ("enumerate", "--n", setpart.MAX_WORD_LENGTH + 1),
 ], ids=["total", "total_k", "brute", "series", "series_k", "egf", "series_order", "pfd", "pfd_oracle",
-        "enumerate_json", "enumerate_csv"])
+        "enumerate_json", "enumerate_csv", "enumerate_length"])
 def test_one_past_a_size_budget_exits_2_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *map(str, argv))

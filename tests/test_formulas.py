@@ -118,6 +118,27 @@ def test_pfd_closed_form_matches_residue_oracle():
         assert pfd_coeffs(k) == pfd_oracle(k)
 
 
+def test_pfd_closed_form_matches_sympy_apart():
+    sympy = pytest.importorskip("sympy")
+    y = sympy.Symbol("y")
+    for k in range(1, 7):
+        f = sum(sympy.Rational(a * (a - 1), 2) for a in range(1, k + 1))
+        f += sum(sympy.Rational((k - i) * i * (i + 1), 2) / (y - i) for i in range(1, k + 1))
+        for i in range(1, k + 1):
+            f /= y - i
+        for probe in (Fraction(-3), Fraction(1, 2), Fraction(2 * k + 1, 2)):
+            assert f.subs(y, sympy.Rational(probe.numerator, probe.denominator)) == pfd_target_value(k, probe)
+        a, b = [Fraction(0)] * k, [Fraction(0)] * k
+        for term in sympy.Add.make_args(sympy.apart(f, y)):
+            if term == 0:  # F_1 vanishes
+                continue
+            coeff, power = term.as_independent(y)
+            base, exp = power.as_base_exp()
+            m = int(y - base)
+            (a if exp == -2 else b)[m - 1] = Fraction(int(coeff.p), int(coeff.q))
+        assert PfdCoefficients(k=k, a=tuple(a), b=tuple(b)) == pfd_coeffs(k)
+
+
 def test_pfd_literal_variant_fails_oracle():
     for k in range(1, 7):
         assert pfd_coeffs(k, literal=True) != pfd_oracle(k)

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from seprec.counting import bell, stirling2
 from seprec.setpart import (
+    MAX_WORD_LENGTH,
     complete_prefix,
     format_word,
     from_blocks,
@@ -167,6 +170,50 @@ def test_complete_prefix_matches_filter():
         next(complete_prefix((1, 2), 1))
     with pytest.raises(ValueError):
         next(complete_prefix((2,), 3))
+
+
+def _filtered_words(n):
+    """Restricted growth strings of length n in lexicographic order, kept
+    from all n^n words over 1..n by the growth rule itself."""
+    def grows(word):
+        biggest = 0
+        for v in word:
+            if v > biggest + 1:
+                return False
+            biggest = max(biggest, v)
+        return True
+    return [w for w in itertools.product(range(1, n + 1), repeat=n) if grows(w)]
+
+
+def test_generators_match_a_filter_of_all_words():
+    for n in range(1, 7):
+        want = _filtered_words(n)
+        assert list(iterate_all(n)) == want
+        for k in range(1, n + 1):
+            assert list(iterate_with_k(n, k)) == [w for w in want if max(w) == k]
+        for depth in range(1, n + 1):
+            for prefix in sorted({w[:depth] for w in want}):
+                assert list(complete_prefix(prefix, n)) == [w for w in want if w[:depth] == prefix]
+
+
+def test_long_words_stream_past_the_recursion_limit():
+    n = 2000  # twice CPython's default recursion limit
+    assert next(iterate_all(n)) == (1,) * n
+    assert list(iterate_with_k(n, n)) == [tuple(range(1, n + 1))]
+    prefix = tuple(range(1, 1501))
+    words = complete_prefix(prefix, n)
+    assert next(words) == prefix + (1,) * 500
+    assert next(words) == prefix + (1,) * 499 + (2,)
+
+
+def test_generators_refuse_words_past_the_length_budget():
+    # refused at call time, before the word buffer is allocated
+    with pytest.raises(ValueError, match="word-length budget"):
+        iterate_all(MAX_WORD_LENGTH + 1)
+    with pytest.raises(ValueError, match="word-length budget"):
+        iterate_with_k(MAX_WORD_LENGTH + 1, 1)
+    with pytest.raises(ValueError, match="word-length budget"):
+        complete_prefix((1,), MAX_WORD_LENGTH + 1)
 
 
 def test_format_word():
