@@ -2,7 +2,8 @@
 
 Subcommands: enumerate, stat, total, verify, pfd, series, asym.  Every
 command supports ``--format plain|json|csv`` where it makes sense; identical
-inputs produce byte-identical output (no timestamps, stable ordering).
+inputs produce byte-identical output (no timestamps, stable ordering).  All
+stdout goes through one writer, ``_write_text``; warnings and errors go to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
 closed by its reader (as a shell reports for ``yes | head -1``).  The worker
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -40,6 +42,17 @@ def _write_text(text: str) -> None:
     data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
     while data:
         data = data[sys.stdout.buffer.write(data):]
+
+
+# Lines per write of the plain format, and so the most a streamed listing holds.
+_LINES_PER_WRITE = 4096
+
+
+def _write_lines(lines) -> None:
+    """Write each line and a newline to stdout, _LINES_PER_WRITE at a time."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, _LINES_PER_WRITE)):
+        _write_text("\n".join(chunk) + "\n")
 
 
 def _write_json(payload) -> None:
@@ -95,8 +108,7 @@ def _cmd_enumerate(args) -> int:
     n, k = args.n, args.k
     words = setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
     if args.format == "plain":
-        for w in words:
-            print(setpart.format_word(w))
+        _write_lines(map(setpart.format_word, words))
         return 0
     count = counting.bell(n) if k is None else counting.stirling2(n, k)
     if count > MAX_LISTED_WORDS:
@@ -139,12 +151,8 @@ def _cmd_stat(args) -> int:
         else:
             raise ValueError(f"unknown statistic {name!r} (use sep, sep_a, srec, swrec, records)")
     if args.format == "plain":
-        for name, value in results:
-            if name == "records":
-                text = ",".join(f"{v}:{p}" for v, p in value)
-                print(f"records {text}")
-            else:
-                print(f"{name} {value}")
+        _write_lines(f"records {','.join(f'{v}:{p}' for v, p in value)}" if name == "records"
+                     else f"{name} {value}" for name, value in results)
     elif args.format == "json":
         params = {"word": args.word, "stats": args.stats, "a": args.a}
         _write_json(_envelope("stat", params, dict(results)))
@@ -191,7 +199,7 @@ def _cmd_total(args) -> int:
     with _unlimited_int_digits():
         text = str(value)
     if args.format == "plain":
-        print(text)
+        _write_lines([text])
     elif args.format == "json":
         params = {"n": args.n, "k": args.k, "method": args.method}
         _write_json(_envelope("total", params, text))
@@ -215,14 +223,10 @@ def _cmd_pfd(args) -> int:
             raise ValueError("--literal applies to the closed form, not the oracle")
         print(LITERAL_WARNING, file=sys.stderr)
     table = _pfd_table(args.k, args.oracle, args.literal)
-    rows = []
-    for m in range(1, args.k + 1):
-        am, bm = table.row(m)
-        rows.append((m, am, bm))
+    rows = [(m, *table.row(m)) for m in range(1, args.k + 1)]
     with _unlimited_int_digits():
         if args.format == "plain":
-            for m, am, bm in rows:
-                print(f"{args.k} {m} {am} {bm}")
+            _write_lines(f"{args.k} {m} {am} {bm}" for m, am, bm in rows)
         elif args.format == "json":
             params = {"k": args.k, "oracle": args.oracle, "literal": args.literal}
             result = [
@@ -246,17 +250,14 @@ def _cmd_series(args) -> int:
         print(LITERAL_WARNING, file=sys.stderr)
     xs = series.distribution_series(args.k, args.a, args.order, literal=args.literal)
     if args.format == "plain":
-        print(series.format_series(xs))
+        _write_lines([series.format_series(xs)])
     elif args.format == "json":
         params = {"k": args.k, "a": args.a, "order": args.order, "literal": args.literal}
         result = [[n, sorted(c.to_dict().items())] for n, c in enumerate(xs.coeffs)]
         _write_json(_envelope("series", params, result))
     else:
-        rows = []
-        for n, c in enumerate(xs.coeffs):
-            for s, count in sorted(c.to_dict().items()):
-                rows.append([n, s, count])
-        _write_csv(["n", "s", "count"], rows)
+        _write_csv(["n", "s", "count"], [[n, s, count] for n, c in enumerate(xs.coeffs)
+                                         for s, count in sorted(c.to_dict().items())])
     return 0
 
 
@@ -287,9 +288,8 @@ def _cmd_asym(args) -> int:
         ]
         _write_json(_envelope("asym", params, result))
     else:
-        print(f"{'n':>6} {'r':>16} {'ratio':>16} {'abs_err':>16}")
-        for rep in reports:
-            print(f"{rep.n:>6} {rep.r:>16.12g} {rep.ratio:>16.12g} {rep.abs_err:>16.12g}")
+        _write_lines([f"{'n':>6} {'r':>16} {'ratio':>16} {'abs_err':>16}"] + [
+            f"{rep.n:>6} {rep.r:>16.12g} {rep.ratio:>16.12g} {rep.abs_err:>16.12g}" for rep in reports])
     return 0
 
 
@@ -325,9 +325,8 @@ def _cmd_verify(args) -> int:
         )
         _write_json(payload)
     else:
-        for r in results:
-            print(f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}")
-        print(f"RESULT {'PASS' if not failed else 'FAIL'} ({len(results) - len(failed)}/{len(results)} suites)")
+        _write_lines([f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results] + [
+            f"RESULT {'PASS' if not failed else 'FAIL'} ({len(results) - len(failed)}/{len(results)} suites)"])
     return 1 if failed else 0
 
 

@@ -87,24 +87,11 @@ def total_sep_n(n: int) -> int:
     return total.numerator
 
 
-def _series_mul(a: list, b: list, order: int, zero=0) -> list:
-    """Product of two power series truncated at x^order.  A coefficient that
-    no pair of terms reaches is ``zero``, so Fraction series stay Fractions."""
-    out = [zero] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai:
-            for j, bj in enumerate(b[: order + 1 - i]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _int_geom(i: int, order: int) -> list[int]:
-    """Coefficients of 1/(1 - i*x): [1, i, i^2, ...]."""
-    out = [1]
-    for _ in range(order):
-        out.append(out[-1] * i)
-    return out
+def _over_one_minus(a: list[int], i: int) -> list[int]:
+    """Divide a power series by 1 - i*x in place, as a_m += i*a_{m-1}."""
+    for m in range(1, len(a)):
+        a[m] += i * a[m - 1]
+    return a
 
 
 def rational_series_totals(k: int, order: int) -> list[int]:
@@ -114,8 +101,9 @@ def rational_series_totals(k: int, order: int) -> list[int]:
         x^k / ((1-x)...(1-kx)) * sum_{a=1..k} a(a-1)/2
         + x^(k+1) / ((1-x)...(1-kx)) * sum_{i=1..k-1} (k-i)i(i+1) / (2(1-ix))
 
-    as a power series in x.  This route uses no Stirling table and no
-    q-polynomials, so it is independent of both :func:`total_sep_nk` and
+    as a power series in x, one first-order recurrence per factor
+    1/(1 - ix).  This route uses no Stirling table and no q-polynomials, so it
+    is independent of both :func:`total_sep_nk` and
     :func:`seprec.series.sep_totals_by_length`.
 
     >>> rational_series_totals(2, 4)
@@ -123,21 +111,15 @@ def rational_series_totals(k: int, order: int) -> list[int]:
     """
     if not 1 <= k <= order:
         raise ValueError(f"need 1 <= k <= order, got k={k}, order={order}")
-    base = [1]
+    # base[m] is the coefficient of x^(k+m) in x^k / ((1-x)...(1-kx))
+    base = [1] + [0] * (order - k)
     for i in range(1, k + 1):
-        base = _series_mul(base, _int_geom(i, order), order)
-    weighted = [0] * (order + 1)
+        _over_one_minus(base, i)
+    out = [0] * k + [_record_offset_total(k) * b for b in base]
     for i in range(1, k):
         c = (k - i) * i * (i + 1) // 2
-        for m, g in enumerate(_int_geom(i, order)):
-            weighted[m] += c * g
-    tail = _series_mul(base, weighted, order)
-    c0 = _record_offset_total(k)
-    out = [0] * (order + 1)
-    for n in range(k, order + 1):
-        out[n] = c0 * base[n - k]
-        if n >= k + 1:
-            out[n] += tail[n - k - 1]
+        for m, g in enumerate(_over_one_minus(base[:-1], i), start=k + 1):
+            out[m] += c * g
     return out
 
 
@@ -290,6 +272,17 @@ def pfd_golden_lines(max_k: int) -> list[str]:
     return lines
 
 
+def _series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
+    """Product of two power series truncated at x^order."""
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai:
+            for j, bj in enumerate(b[: order + 1 - i]):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
 def _exp_series(m: int, order: int) -> list[Fraction]:
     """Coefficients of e^(m*x): m^n / n!."""
     out = [Fraction(1)]
@@ -338,7 +331,7 @@ def egf_coeffs(order: int) -> list[Fraction]:
     for n, v in enumerate(_shift_x(e1, order)):
         combo[n] -= v
     combo[0] -= Fraction(1, 12)
-    return _series_mul(bell_egf(order), combo, order, Fraction(0))
+    return _series_mul(bell_egf(order), combo, order)
 
 
 def bell_shift_identities_check(order: int) -> dict[str, bool]:
@@ -366,23 +359,23 @@ def bell_shift_identities_check(order: int) -> dict[str, bool]:
     ns = range(order + 1)
     checks = {
         "exp_x": (
-            _series_mul(e1, E, order, Fraction(0)),
+            _series_mul(e1, E, order),
             expected(bell(n + 1) for n in ns),
         ),
         "exp_2x": (
-            _series_mul(e2, E, order, Fraction(0)),
+            _series_mul(e2, E, order),
             expected(bell(n + 2) - bell(n + 1) for n in ns),
         ),
         "exp_3x": (
-            _series_mul(e3, E, order, Fraction(0)),
+            _series_mul(e3, E, order),
             expected(bell(n + 3) - 3 * bell(n + 2) + 2 * bell(n + 1) for n in ns),
         ),
         "x_exp_x": (
-            _shift_x(_series_mul(e1, E, order, Fraction(0)), order),
+            _shift_x(_series_mul(e1, E, order), order),
             expected(n * bell(n) for n in ns),
         ),
         "x_exp_2x": (
-            _shift_x(_series_mul(e2, E, order, Fraction(0)), order),
+            _shift_x(_series_mul(e2, E, order), order),
             expected(n * (bell(n + 1) - bell(n)) for n in ns),
         ),
     }

@@ -64,6 +64,18 @@ def test_enumerate_one_long_word(capsys):
     assert out == ",".join(map(str, range(1, 1001))) + "\n"
 
 
+@pytest.mark.parametrize("argv, words", [
+    (("--n", "8"), lambda: setpart.iterate_all(8)),
+    (("--n", "8", "--k", "4"), lambda: setpart.iterate_with_k(8, 4)),
+], ids=["all", "k4"])
+def test_enumerate_plain_across_write_chunks(capsys, argv, words):
+    # B_8 = 4140 words fill more than one write of cli._LINES_PER_WRITE lines
+    assert counting.bell(8) > cli._LINES_PER_WRITE
+    code, out, _ = run_cli(capsys, "enumerate", *argv)
+    assert code == 0
+    assert out == "".join(setpart.format_word(w) + "\n" for w in words())
+
+
 def test_stat_sep(capsys):
     code, out, _ = run_cli(capsys, "stat", "--word", "121132", "--stats", "sep")
     assert code == 0
@@ -219,13 +231,17 @@ def test_pfd_prints_past_the_int_digit_limit(capsys):
 
 @pytest.mark.parametrize("argv, unbuffered, head", [
     (("--n", "10"), False, [b"1111111111\n", b"1111111112\n"]),
+    (("--n", "10"), True, [b"1111111111\n", b"1111111112\n"]),
     # unbuffered stdout takes a short write of the composed text when the reader
     # leaves; B_9 words make 200-400 KB, several times the 64 KiB pipe buffer
     (("--n", "9", "--format", "json"), True, [b"{\n", b'  "command": "enumerate",\n']),
     (("--n", "9", "--format", "csv"), True, [b"word\n", b"111111111\n"]),
-], ids=["plain", "json_unbuffered", "csv_unbuffered"])
+], ids=["plain", "plain_unbuffered", "json_unbuffered", "csv_unbuffered"])
 def test_closed_stdout_exits_141_without_traceback(argv, unbuffered, head):
-    env = {**os.environ, "PYTHONUNBUFFERED": "1"} if unbuffered else None
+    # the buffered cases must not inherit PYTHONUNBUFFERED from the caller
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen([sys.executable, "-m", "seprec.cli", "enumerate", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:

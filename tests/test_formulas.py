@@ -79,6 +79,13 @@ def test_rational_series_totals_examples():
         rational_series_totals(5, 4)
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 50, 100])
+def test_rational_series_totals_to_order_100(k):
+    got = rational_series_totals(k, 100)
+    assert got[:k] == [0] * k
+    assert all(got[n] == total_sep_nk(n, k) for n in range(k, 101))
+
+
 def test_three_formula_routes_agree():
     for n in range(1, 10):
         for k in range(1, n + 1):
