@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
-import itertools
 import json
 import os
 import sys
@@ -44,15 +44,21 @@ def _write_text(text: str) -> None:
         data = data[sys.stdout.buffer.write(data):]
 
 
-# Lines per write of the plain format, and so the most a streamed listing holds.
-_LINES_PER_WRITE = 4096
+# Characters gathered per write of the plain format: short lines share a
+# write, a longer line goes out alone, so a streamed listing holds little.
+_CHARS_PER_WRITE = 1 << 16
 
 
 def _write_lines(lines) -> None:
-    """Write each line and a newline to stdout, _LINES_PER_WRITE at a time."""
-    lines = iter(lines)
-    while chunk := list(itertools.islice(lines, _LINES_PER_WRITE)):
-        _write_text("\n".join(chunk) + "\n")
+    """Write each line and a newline to stdout, about _CHARS_PER_WRITE at a time."""
+    chunk, size = [], 0
+    for line in lines:
+        chunk.append(line + "\n")
+        size += len(line) + 1
+        if size >= _CHARS_PER_WRITE:
+            _write_text("".join(chunk))
+            chunk, size = [], 0
+    _write_text("".join(chunk))
 
 
 def _write_json(payload) -> None:
@@ -151,8 +157,12 @@ def _cmd_stat(args) -> int:
         else:
             raise ValueError(f"unknown statistic {name!r} (use sep, sep_a, srec, swrec, records)")
     if args.format == "plain":
-        _write_lines(f"records {','.join(f'{v}:{p}' for v, p in value)}" if name == "records"
-                     else f"{name} {value}" for name, value in results)
+        lines = []
+        for name, value in results:
+            if name == "records":
+                value = ",".join(f"{v}:{p}" for v, p in value)
+            lines.append(f"{name} {value}")
+        _write_lines(lines)
     elif args.format == "json":
         params = {"word": args.word, "stats": args.stats, "a": args.a}
         _write_json(_envelope("stat", params, dict(results)))
@@ -211,19 +221,19 @@ def _cmd_total(args) -> int:
 
 # ---------------------------------------------------------------------- pfd
 
-def _pfd_table(k: int, use_oracle: bool, literal: bool) -> formulas.PfdCoefficients:
-    if use_oracle:
-        return formulas.pfd_oracle(k)
-    return formulas.pfd_coeffs(k, literal=literal)
-
-
 def _cmd_pfd(args) -> int:
     if args.literal:
         if args.oracle:
             raise ValueError("--literal applies to the closed form, not the oracle")
         print(LITERAL_WARNING, file=sys.stderr)
-    table = _pfd_table(args.k, args.oracle, args.literal)
-    rows = [(m, *table.row(m)) for m in range(1, args.k + 1)]
+    if args.oracle:
+        table = formulas.pfd_oracle(args.k)
+    else:
+        table = formulas.pfd_coeffs(args.k, literal=args.literal)
+    rows = []
+    for m in range(1, args.k + 1):
+        am, bm = table.row(m)
+        rows.append((m, am, bm))
     with _unlimited_int_digits():
         if args.format == "plain":
             _write_lines(f"{args.k} {m} {am} {bm}" for m, am, bm in rows)
@@ -256,8 +266,11 @@ def _cmd_series(args) -> int:
         result = [[n, sorted(c.to_dict().items())] for n, c in enumerate(xs.coeffs)]
         _write_json(_envelope("series", params, result))
     else:
-        _write_csv(["n", "s", "count"], [[n, s, count] for n, c in enumerate(xs.coeffs)
-                                         for s, count in sorted(c.to_dict().items())])
+        rows = []
+        for n, c in enumerate(xs.coeffs):
+            for s, count in sorted(c.to_dict().items()):
+                rows.append([n, s, count])
+        _write_csv(["n", "s", "count"], rows)
     return 0
 
 
@@ -275,21 +288,12 @@ def _cmd_asym(args) -> int:
     reports = asymptotics.sweep(ns, literal=args.literal)
     if args.format == "json":
         params = {"n_list": args.n_list, "literal": args.literal}
-        result = [
-            {
-                "n": rep.n,
-                "r": rep.r,
-                "ratio": rep.ratio,
-                "abs_err": rep.abs_err,
-                "bare_ratio": rep.bare_ratio,
-                "bare_abs_err": rep.bare_abs_err,
-            }
-            for rep in reports
-        ]
+        result = [dataclasses.asdict(rep) for rep in reports]
         _write_json(_envelope("asym", params, result))
     else:
-        _write_lines([f"{'n':>6} {'r':>16} {'ratio':>16} {'abs_err':>16}"] + [
-            f"{rep.n:>6} {rep.r:>16.12g} {rep.ratio:>16.12g} {rep.abs_err:>16.12g}" for rep in reports])
+        lines = [f"{'n':>6} {'r':>16} {'ratio':>16} {'abs_err':>16}"]
+        lines += (f"{rep.n:>6} {rep.r:>16.12g} {rep.ratio:>16.12g} {rep.abs_err:>16.12g}" for rep in reports)
+        _write_lines(lines)
     return 0
 
 
@@ -325,8 +329,9 @@ def _cmd_verify(args) -> int:
         )
         _write_json(payload)
     else:
-        _write_lines([f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results] + [
-            f"RESULT {'PASS' if not failed else 'FAIL'} ({len(results) - len(failed)}/{len(results)} suites)"])
+        lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results]
+        lines.append(f"RESULT {'PASS' if not failed else 'FAIL'} ({len(results) - len(failed)}/{len(results)} suites)")
+        _write_lines(lines)
     return 1 if failed else 0
 
 

@@ -64,16 +64,40 @@ def test_enumerate_one_long_word(capsys):
     assert out == ",".join(map(str, range(1, 1001))) + "\n"
 
 
-@pytest.mark.parametrize("argv, words", [
-    (("--n", "8"), lambda: setpart.iterate_all(8)),
-    (("--n", "8", "--k", "4"), lambda: setpart.iterate_with_k(8, 4)),
-], ids=["all", "k4"])
-def test_enumerate_plain_across_write_chunks(capsys, argv, words):
-    # B_8 = 4140 words fill more than one write of cli._LINES_PER_WRITE lines
-    assert counting.bell(8) > cli._LINES_PER_WRITE
+@pytest.mark.parametrize("n, k, chars_per_write", [
+    (9, None, None),  # B_9 words make 211,470 characters, four writes
+    (9, 4, None),
+    (8, None, 5),  # every line is longer than a write and goes out alone
+    (8, 4, 5),
+])
+def test_enumerate_plain_across_write_chunks(capsys, monkeypatch, n, k, chars_per_write):
+    if chars_per_write is not None:
+        monkeypatch.setattr(cli, "_CHARS_PER_WRITE", chars_per_write)
+    argv = ["--n", str(n)] + ([] if k is None else ["--k", str(k)])
     code, out, _ = run_cli(capsys, "enumerate", *argv)
     assert code == 0
-    assert out == "".join(setpart.format_word(w) + "\n" for w in words())
+    assert len(out) > cli._CHARS_PER_WRITE
+    words = setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
+    assert out == "".join(setpart.format_word(w) + "\n" for w in words)
+
+
+def test_enumerate_plain_streams_long_words():
+    # each word of length 200,000 makes a 200 KB line; plain output must write
+    # the first one at once, not gather many lines before a write
+    script = ("import resource, sys\nfrom seprec import cli\ncode = cli.main(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    proc = subprocess.Popen([sys.executable, "-c", script, "enumerate", "--n", "200000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"1" * 200000 + b"\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert int(err) < 100 * 1024  # peak RSS in KiB
+    finally:
+        proc.kill()
+        proc.wait()
 
 
 def test_stat_sep(capsys):
