@@ -3,7 +3,7 @@
 Subcommands: enumerate, stat, total, verify, pfd, series, asym.  Every
 command supports ``--format plain|json|csv`` where it makes sense; identical
 inputs produce byte-identical output (no timestamps, stable ordering).  All
-stdout goes through one writer, ``_write_text``; warnings and errors go to stderr.
+stdout streams through one sink, ``_Stdout``; warnings and errors go to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
 closed by its reader (as a shell reports for ``yes | head -1``).  The worker
@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -30,47 +29,52 @@ LITERAL_WARNING = (
 )
 
 
-def _write_text(text: str) -> None:
-    """Write composed output to stdout in full.
-
-    Unbuffered stdout (``python -u``, PYTHONUNBUFFERED) writes through to a
-    raw file, which takes only part of a large write when the reader leaves,
-    and the text layer drops the rest.  Writing the bytes until all are taken
-    makes the next write after the reader has gone raise BrokenPipeError.
-    """
-    sys.stdout.flush()
-    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
-    while data:
-        data = data[sys.stdout.buffer.write(data):]
-
-
-# Characters gathered per write of the plain format: short lines share a
-# write, a longer line goes out alone, so a streamed listing holds little.
+# Characters gathered per write: short lines share a write, a longer line
+# goes out alone, so a streamed listing holds little.
 _CHARS_PER_WRITE = 1 << 16
 
 
-def _write_lines(lines) -> None:
-    """Write each line and a newline to stdout, about _CHARS_PER_WRITE at a time."""
-    chunk, size = [], 0
+class _Stdout:
+    """The one stdout path: json.dump, csv.writer and plain lines write here."""
+
+    def __init__(self):
+        self._parts, self._size = [], 0
+
+    def write(self, text: str) -> None:
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= _CHARS_PER_WRITE:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write the gathered text to stdout in full, then flush stdout.
+
+        Unbuffered stdout (``python -u``, PYTHONUNBUFFERED) writes through to a
+        raw file, which takes only part of a large write when the reader leaves,
+        and the text layer drops the rest.  Writing the bytes until all are taken
+        makes the next write after the reader has gone raise BrokenPipeError.
+        """
+        data = memoryview("".join(self._parts).encode(sys.stdout.encoding, sys.stdout.errors))
+        self._parts, self._size = [], 0
+        while data:
+            data = data[sys.stdout.buffer.write(data):]
+        sys.stdout.flush()
+
+
+def _write_lines(out: _Stdout, lines) -> None:
     for line in lines:
-        chunk.append(line + "\n")
-        size += len(line) + 1
-        if size >= _CHARS_PER_WRITE:
-            _write_text("".join(chunk))
-            chunk, size = [], 0
-    _write_text("".join(chunk))
+        out.write(line + "\n")
 
 
-def _write_json(payload) -> None:
-    _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write_json(out: _Stdout, payload) -> None:
+    json.dump(payload, out, sort_keys=True, indent=2)
+    out.write("\n")
 
 
-def _write_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _write_csv(out: _Stdout, header: list[str], rows) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_text(buf.getvalue())
 
 
 def _envelope(command: str, params: dict, result) -> dict:
@@ -105,28 +109,25 @@ def _workers() -> int:
 
 # ---------------------------------------------------------------- enumerate
 
-# json and csv build the whole listing before they write it (B_12 = 4,213,597
-# words take about 750 MiB), so they refuse longer listings; plain streams.
-MAX_LISTED_WORDS = 5_000_000
-
-
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args, out: _Stdout) -> int:
     n, k = args.n, args.k
     words = setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
+    formatted = map(setpart.format_word, words)
     if args.format == "plain":
-        _write_lines(map(setpart.format_word, words))
-        return 0
-    count = counting.bell(n) if k is None else counting.stirling2(n, k)
-    if count > MAX_LISTED_WORDS:
-        raise ValueError(f"--format {args.format} holds the whole listing in memory: {count} words "
-                         f"exceed its budget of {MAX_LISTED_WORDS}; --format plain streams")
-    formatted = [setpart.format_word(w) for w in words]
-    if args.format == "json":
-        params = {"n": n, "k": k}
-        result = {"count": len(formatted), "words": formatted}
-        _write_json(_envelope("enumerate", params, result))
+        _write_lines(out, formatted)
+    elif args.format == "csv":
+        _write_csv(out, ["word"], ([w] for w in formatted))
     else:
-        _write_csv(["word"], [[w] for w in formatted])
+        count = counting.bell(n) if k is None else counting.stirling2(n, k)
+        result = {"count": count, "words": ["@", "@"]}
+        frame = json.dumps(_envelope("enumerate", {"n": n, "k": k}, result), sort_keys=True, indent=2)
+        # json's own text around and between two placeholder words; a word holds
+        # only digits and commas, so f'"{w}"' is json.dumps(w)
+        head, between, tail = frame.split('"@"')
+        out.write(f'{head}"{next(formatted)}"')
+        for w in formatted:
+            out.write(f'{between}"{w}"')
+        out.write(tail + "\n")
     return 0
 
 
@@ -139,7 +140,7 @@ _PLAIN_STATS = {
 }
 
 
-def _cmd_stat(args) -> int:
+def _cmd_stat(args, out: _Stdout) -> int:
     word = setpart.parse_word(args.word)
     names = [s.strip() for s in args.stats.split(",") if s.strip()]
     if not names:
@@ -162,20 +163,22 @@ def _cmd_stat(args) -> int:
             if name == "records":
                 value = ",".join(f"{v}:{p}" for v, p in value)
             lines.append(f"{name} {value}")
-        _write_lines(lines)
+        _write_lines(out, lines)
     elif args.format == "json":
         params = {"word": args.word, "stats": args.stats, "a": args.a}
-        _write_json(_envelope("stat", params, dict(results)))
+        _write_json(out, _envelope("stat", params, dict(results)))
     else:
         rows = [[name, json.dumps(value) if isinstance(value, list) else value]
                 for name, value in results]
-        _write_csv(["stat", "value"], rows)
+        _write_csv(out, ["stat", "value"], rows)
     return 0
 
 
 # -------------------------------------------------------------------- total
 
 def _total_value(n: int, k, method: str) -> int:
+    if n < 1:
+        raise ValueError(f"need --n >= 1, got {n}")
     literal = method == "literal"
     if k is None:
         if method == "formula":
@@ -202,26 +205,26 @@ def _total_value(n: int, k, method: str) -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _cmd_total(args) -> int:
+def _cmd_total(args, out: _Stdout) -> int:
     if args.method == "literal":
         print(LITERAL_WARNING, file=sys.stderr)
     value = _total_value(args.n, args.k, args.method)
     with _unlimited_int_digits():
         text = str(value)
     if args.format == "plain":
-        _write_lines([text])
+        _write_lines(out, [text])
     elif args.format == "json":
         params = {"n": args.n, "k": args.k, "method": args.method}
-        _write_json(_envelope("total", params, text))
+        _write_json(out, _envelope("total", params, text))
     else:
-        _write_csv(["n", "k", "method", "total"],
+        _write_csv(out, ["n", "k", "method", "total"],
                    [[args.n, "" if args.k is None else args.k, args.method, text]])
     return 0
 
 
 # ---------------------------------------------------------------------- pfd
 
-def _cmd_pfd(args) -> int:
+def _cmd_pfd(args, out: _Stdout) -> int:
     if args.literal:
         if args.oracle:
             raise ValueError("--literal applies to the closed form, not the oracle")
@@ -236,16 +239,17 @@ def _cmd_pfd(args) -> int:
         rows.append((m, am, bm))
     with _unlimited_int_digits():
         if args.format == "plain":
-            _write_lines(f"{args.k} {m} {am} {bm}" for m, am, bm in rows)
+            _write_lines(out, (f"{args.k} {m} {am} {bm}" for m, am, bm in rows))
         elif args.format == "json":
             params = {"k": args.k, "oracle": args.oracle, "literal": args.literal}
             result = [
                 {"m": m, "a": [am.numerator, am.denominator], "b": [bm.numerator, bm.denominator]}
                 for m, am, bm in rows
             ]
-            _write_json(_envelope("pfd", params, result))
+            _write_json(out, _envelope("pfd", params, result))
         else:
             _write_csv(
+                out,
                 ["k", "m", "a_num", "a_den", "b_num", "b_den"],
                 [[args.k, m, am.numerator, am.denominator, bm.numerator, bm.denominator]
                  for m, am, bm in rows],
@@ -255,45 +259,45 @@ def _cmd_pfd(args) -> int:
 
 # ------------------------------------------------------------------- series
 
-def _cmd_series(args) -> int:
+def _cmd_series(args, out: _Stdout) -> int:
     if args.literal:
         print(LITERAL_WARNING, file=sys.stderr)
     xs = series.distribution_series(args.k, args.a, args.order, literal=args.literal)
     if args.format == "plain":
-        _write_lines([series.format_series(xs)])
+        _write_lines(out, [series.format_series(xs)])
     elif args.format == "json":
         params = {"k": args.k, "a": args.a, "order": args.order, "literal": args.literal}
         result = [[n, sorted(c.to_dict().items())] for n, c in enumerate(xs.coeffs)]
-        _write_json(_envelope("series", params, result))
+        _write_json(out, _envelope("series", params, result))
     else:
         rows = []
         for n, c in enumerate(xs.coeffs):
             for s, count in sorted(c.to_dict().items()):
                 rows.append([n, s, count])
-        _write_csv(["n", "s", "count"], rows)
+        _write_csv(out, ["n", "s", "count"], rows)
     return 0
 
 
 # --------------------------------------------------------------------- asym
 
-def _cmd_asym(args) -> int:
+def _cmd_asym(args, out: _Stdout) -> int:
     if args.literal:
         print(LITERAL_WARNING, file=sys.stderr)
     ns = [int(part) for part in args.n_list.split(",") if part.strip()]
     if not ns:
         raise ValueError("empty --n-list")
-    if args.format == "csv":
-        _write_text(asymptotics.sweep_csv(ns, literal=args.literal))
-        return 0
     reports = asymptotics.sweep(ns, literal=args.literal)
     if args.format == "json":
         params = {"n_list": args.n_list, "literal": args.literal}
         result = [dataclasses.asdict(rep) for rep in reports]
-        _write_json(_envelope("asym", params, result))
+        _write_json(out, _envelope("asym", params, result))
+    elif args.format == "csv":
+        _write_csv(out, ["n", "r", "ratio", "abs_err"],
+                   ([rep.n, f"{rep.r:.12g}", f"{rep.ratio:.12g}", f"{rep.abs_err:.12g}"] for rep in reports))
     else:
         lines = [f"{'n':>6} {'r':>16} {'ratio':>16} {'abs_err':>16}"]
         lines += (f"{rep.n:>6} {rep.r:>16.12g} {rep.ratio:>16.12g} {rep.abs_err:>16.12g}" for rep in reports)
-        _write_lines(lines)
+        _write_lines(out, lines)
     return 0
 
 
@@ -304,7 +308,7 @@ def _cmd_asym(args) -> int:
 _SUITES = verify.SUITES
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, out: _Stdout) -> int:
     max_n = args.max_n
     if not 1 <= max_n <= oracle.MAX_TOTAL_N:
         raise ValueError(f"need 1 <= --max-n <= {oracle.MAX_TOTAL_N}, got {max_n}")
@@ -327,11 +331,11 @@ def _cmd_verify(args) -> int:
             {"max_n": max_n, "suites": ",".join(names)},
             {"ok": not failed, "suites": results},
         )
-        _write_json(payload)
+        _write_json(out, payload)
     else:
         lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results]
         lines.append(f"RESULT {'PASS' if not failed else 'FAIL'} ({len(results) - len(failed)}/{len(results)} suites)")
-        _write_lines(lines)
+        _write_lines(out, lines)
     return 1 if failed else 0
 
 
@@ -402,9 +406,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    out = _Stdout()
     try:
-        code = args.func(args)
-        sys.stdout.flush()
+        code = args.func(args, out)
+        out.flush()
         return code
     except (ValueError, ArithmeticError) as exc:
         print(f"seprec: error: {exc}", file=sys.stderr)

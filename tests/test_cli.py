@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -9,6 +10,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -64,33 +66,58 @@ def test_enumerate_one_long_word(capsys):
     assert out == ",".join(map(str, range(1, 1001))) + "\n"
 
 
+def _listing(fmt, n, k):
+    """The enumerate listing composed whole, as a reference for the streamed one."""
+    words = setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
+    words = [setpart.format_word(w) for w in words]
+    if fmt == "plain":
+        return "".join(w + "\n" for w in words)
+    if fmt == "json":
+        envelope = {"command": "enumerate", "params": {"n": n, "k": k},
+                    "result": {"count": len(words), "words": words}}
+        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["word"])
+    writer.writerows([w] for w in words)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 @pytest.mark.parametrize("n, k, chars_per_write", [
-    (9, None, None),  # B_9 words make 211,470 characters, four writes
+    (9, None, None),  # the plain B_9 listing makes 211,470 characters, four writes
     (9, 4, None),
-    (8, None, 5),  # every line is longer than a write and goes out alone
+    (8, None, 5),  # every write is longer than a chunk and goes out alone
     (8, 4, 5),
+    (10, None, None),  # words with a letter 10 print with commas
+    (10, 10, 5),  # csv quotes the one word, 1,2,...,10
 ])
-def test_enumerate_plain_across_write_chunks(capsys, monkeypatch, n, k, chars_per_write):
+def test_enumerate_across_write_chunks(capsys, monkeypatch, fmt, n, k, chars_per_write):
     if chars_per_write is not None:
         monkeypatch.setattr(cli, "_CHARS_PER_WRITE", chars_per_write)
-    argv = ["--n", str(n)] + ([] if k is None else ["--k", str(k)])
+    argv = ["--n", str(n), "--format", fmt] + ([] if k is None else ["--k", str(k)])
     code, out, _ = run_cli(capsys, "enumerate", *argv)
     assert code == 0
     assert len(out) > cli._CHARS_PER_WRITE
-    words = setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
-    assert out == "".join(setpart.format_word(w) + "\n" for w in words)
+    assert out == _listing(fmt, n, k)
 
 
-def test_enumerate_plain_streams_long_words():
+@pytest.mark.parametrize("argv, head", [
     # each word of length 200,000 makes a 200 KB line; plain output must write
     # the first one at once, not gather many lines before a write
+    (("--n", "200000"), [b"1" * 200000 + b"\n", b"1" * 199999 + b"2\n"]),
+    # B_13 = 27,644,437 words make about 400 MB of text; json and csv stream it
+    (("--n", "13", "--format", "json"), [b"{\n", b'  "command": "enumerate",\n']),
+    (("--n", "13", "--format", "csv"), [b"word\n", b"1111111111111\n"]),
+], ids=["plain_long_words", "json", "csv"])
+def test_enumerate_streams(argv, head):
     script = ("import resource, sys\nfrom seprec import cli\ncode = cli.main(sys.argv[1:])\n"
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
               "sys.exit(code)\n")
-    proc = subprocess.Popen([sys.executable, "-c", script, "enumerate", "--n", "200000"],
+    proc = subprocess.Popen([sys.executable, "-c", script, "enumerate", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
-        assert proc.stdout.readline() == b"1" * 200000 + b"\n"
+        assert [proc.stdout.readline(), proc.stdout.readline()] == head
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
@@ -182,6 +209,15 @@ def test_total_egf_rejects_k(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("method", ["formula", "brute", "series", "egf", "literal"])
+@pytest.mark.parametrize("n", [0, -5])
+def test_total_refuses_n_below_1(capsys, method, n):
+    code, out, err = run_cli(capsys, "total", "--n", str(n), "--method", method)
+    assert (code, out) == (2, "")
+    assert err.endswith("\n") and err.splitlines()[-1].startswith("seprec: error: ")
+    assert err.count("seprec: error: ") == 1
+
+
 def test_total_brute_cap(capsys):
     code, _, err = run_cli(capsys, "total", "--n", "13", "--method", "brute")
     assert code == 2
@@ -197,11 +233,9 @@ def test_total_brute_cap(capsys):
     ("series", "--k", 1, "--a", 1, "--order", series.MAX_ORDER + 1),
     ("pfd", "--k", formulas.MAX_PFD_K + 1),
     ("pfd", "--k", formulas.MAX_PFD_ORACLE_K + 1, "--oracle"),
-    ("enumerate", "--n", 13, "--format", "json"),  # B_12 <= cli.MAX_LISTED_WORDS < B_13
-    ("enumerate", "--n", 13, "--format", "csv"),
     ("enumerate", "--n", setpart.MAX_WORD_LENGTH + 1),
 ], ids=["total", "total_k", "brute", "series", "series_k", "egf", "series_order", "pfd", "pfd_oracle",
-        "enumerate_json", "enumerate_csv", "enumerate_length"])
+        "enumerate_length"])
 def test_one_past_a_size_budget_exits_2_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *map(str, argv))
@@ -256,8 +290,8 @@ def test_pfd_prints_past_the_int_digit_limit(capsys):
 @pytest.mark.parametrize("argv, unbuffered, head", [
     (("--n", "10"), False, [b"1111111111\n", b"1111111112\n"]),
     (("--n", "10"), True, [b"1111111111\n", b"1111111112\n"]),
-    # unbuffered stdout takes a short write of the composed text when the reader
-    # leaves; B_9 words make 200-400 KB, several times the 64 KiB pipe buffer
+    # unbuffered stdout takes a short write of a chunk when the reader leaves;
+    # B_9 words make 200-400 KB, several times the 64 KiB pipe buffer
     (("--n", "9", "--format", "json"), True, [b"{\n", b'  "command": "enumerate",\n']),
     (("--n", "9", "--format", "csv"), True, [b"word\n", b"111111111\n"]),
 ], ids=["plain", "plain_unbuffered", "json_unbuffered", "csv_unbuffered"])
@@ -277,6 +311,22 @@ def test_closed_stdout_exits_141_without_traceback(argv, unbuffered, head):
     finally:
         proc.kill()
         proc.wait()
+
+
+def test_stdout_has_one_path():
+    # every print goes to stderr, and only the sink's flush writes to stdout
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
+            assert [ast.unparse(kw.value) for kw in node.keywords if kw.arg == "file"] == ["sys.stderr"]
+    sink = next(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "_Stdout")
+    flush = next(node for node in sink.body if isinstance(node, ast.FunctionDef) and node.name == "flush")
+
+    def writes(root):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Attribute)
+                and ast.unparse(node) in ("sys.stdout.buffer.write", "sys.stdout.write")]
+
+    assert writes(flush) and writes(tree) == writes(flush)
 
 
 def test_total_egf_asserts_integrality(capsys, monkeypatch):
