@@ -116,7 +116,7 @@ def _cmd_enumerate(args, out: _Stdout) -> int:
     if args.format == "plain":
         _write_lines(out, formatted)
     elif args.format == "csv":
-        _write_csv(out, ["word"], ([w] for w in formatted))
+        _write_csv(out, ["word"], zip(formatted))
     else:
         count = counting.bell(n) if k is None else counting.stirling2(n, k)
         result = {"count": count, "words": ["@", "@"]}

@@ -185,18 +185,31 @@ def split_by_prefix(n: int, depth: int) -> list[tuple[Word, Iterator[Word]]]:
     return [(p, complete_prefix(p, n)) for p in iterate_all(depth)]
 
 
+# Letters 0-9 to their ASCII digits, every other byte to 0x80, which ASCII refuses.
+_DIGITS = b"0123456789" + b"\x80" * 246
+
+
 def format_word(word: Sequence[int]) -> str:
     """Text form of a word: bare digits when all letters are <= 9, else
     comma-separated.
+
+    Defined for nonempty words of positive int letters, as every word this
+    module yields or parses; an empty word raises ValueError.  A digit word
+    goes through the byte table ``_DIGITS``; a letter past 9 fails the ASCII
+    decode and a letter past 255 fails ``bytes()``, both with ValueError,
+    and either falls back to joining the letters with commas.
 
     >>> format_word((1, 2, 2, 3, 1))
     '12231'
     >>> format_word((1, 2, 10))
     '1,2,10'
     """
-    if max(word) <= 9:
-        return "".join(str(v) for v in word)
-    return ",".join(str(v) for v in word)
+    if not word:
+        raise ValueError("empty word")
+    try:
+        return bytes(word).translate(_DIGITS).decode("ascii")
+    except ValueError:
+        return ",".join(map(str, word))
 
 
 def parse_word(text: str) -> Word:

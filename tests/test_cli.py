@@ -64,12 +64,23 @@ def test_enumerate_one_long_word(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "1000", "--k", "1000")
     assert code == 0
     assert out == ",".join(map(str, range(1, 1001))) + "\n"
+    # letters past 255 do not fit a byte, and letters past 9 are not one digit
+    for n, k in ((300, 300), (12, 10)):
+        for fmt in ("plain", "json", "csv"):
+            code, out, _ = run_cli(capsys, "enumerate", "--n", str(n), "--k", str(k), "--format", fmt)
+            assert code == 0
+            assert out == _listing(fmt, n, k), (n, k, fmt)
+
+
+def _word_text(word):
+    """Text form of a word, built apart from setpart.format_word."""
+    return "".join(map(str, word)) if max(word) <= 9 else ",".join(map(str, word))
 
 
 def _listing(fmt, n, k):
     """The enumerate listing composed whole, as a reference for the streamed one."""
     words = setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
-    words = [setpart.format_word(w) for w in words]
+    words = [_word_text(w) for w in words]
     if fmt == "plain":
         return "".join(w + "\n" for w in words)
     if fmt == "json":

@@ -219,6 +219,36 @@ def test_generators_refuse_words_past_the_length_budget():
 def test_format_word():
     assert format_word((1, 2, 2, 3, 1)) == "12231"
     assert format_word((1,) * 3 + (10,)) == "1,1,1,10"
+    for empty in ((), []):
+        with pytest.raises(ValueError):
+            format_word(empty)
+
+
+def _word_text(word):
+    """Text form of a word, built apart from format_word."""
+    return "".join(map(str, word)) if max(word) <= 9 else ",".join(map(str, word))
+
+
+# words over the positive integers of up to 300 letters, whose largest letter
+# falls on either side of 9/10 and of 255/256
+letter_words = st.sampled_from([9, 10, 255, 256, 10**6]).flatmap(
+    lambda top: st.lists(st.integers(min_value=1, max_value=top), min_size=1, max_size=300)
+)
+
+
+@given(letter_words)
+def test_format_word_matches_reference_on_random_words(letters):
+    expected = _word_text(letters)
+    assert format_word(tuple(letters)) == expected
+    assert format_word(letters) == expected
+
+
+def test_format_word_matches_reference_on_every_word():
+    for n in range(1, 9):
+        for word in iterate_all(n):
+            expected = _word_text(word)
+            assert format_word(word) == expected
+            assert format_word(list(word)) == expected
 
 
 def test_parse_word():
