@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import bell
-from .formulas import total_sep_n
+from .formulas import _total_and_bell
 
 MAX_EXACT_N = 1000
 
@@ -97,7 +97,8 @@ def estimate_ratio(n: int, literal: bool = False) -> AsymptoticReport:
     if not 1 <= n <= MAX_EXACT_N:
         raise ValueError(f"need 1 <= n <= {MAX_EXACT_N} (exact-computation budget), got {n}")
     r = solve_r(n)
-    exact = float(Fraction(total_sep_n(n), bell(n)))
+    total, bell_n = _total_and_bell(n)
+    exact = float(Fraction(total, bell_n))
     bare = n**3 / (3.0 * r**3)
     if literal:
         bare *= 3.0

@@ -118,7 +118,7 @@ def _cmd_enumerate(args, out: _Stdout) -> int:
     elif args.format == "csv":
         _write_csv(out, ["word"], zip(formatted))
     else:
-        count = counting.bell(n) if k is None else counting.stirling2(n, k)
+        count = counting.bell(n) if k is None else counting.stirling2_single(n, k)
         result = {"count": count, "words": ["@", "@"]}
         frame = json.dumps(_envelope("enumerate", {"n": n, "k": k}, result), sort_keys=True, indent=2)
         # json's own text around and between two placeholder words; a word holds

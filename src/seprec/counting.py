@@ -8,13 +8,16 @@ complete before it is appended and never mutated after, so a lookup in a
 table that is already long enough takes no lock.
 
 Both tables have a size budget.  The Stirling rows up to n hold O(n^3) bits
-(at n = 1000, about 230 MiB, built in 0.4 s); B_3003, the Bell number that
-``formulas.total_sep_n`` reads at its budget n = 3000, takes about 4 s cold.
+(at n = 1000, about 230 MiB, built in 0.4 s); the Bell triangle up to B_3003
+takes about 4 s cold.  Callers that need a few values far up, rather than a
+prefix, compute them without a table: :func:`bell_window` gives B_n..B_{n+3}
+at n = 3000 (what ``formulas.total_sep_n`` reads at its budget) in about
+2 s, and :func:`stirling2_single` gives one S(n, k).
 """
 from __future__ import annotations
 
 import threading
-from math import comb
+from math import comb, factorial
 
 _grow_lock = threading.Lock()
 
@@ -97,3 +100,77 @@ def bell(n: int) -> int:
                 _bell.append(row[0])
                 _bell_row = row
     return _bell[n]
+
+
+def _window_weights(top: int):
+    """Yield (j, C(top, j) * D_{top-j}) for j = top, top-1, ..., 0, where D is
+    the derangement numbers (D_t = t*D_{t-1} + (-1)^t).
+
+    The weights follow a_top = 1 and a_j = (j+1)*a_{j+1} + (-1)^(top-j) C(top, j),
+    so each step costs one small-by-big product instead of C(top, j) * D_{top-j}.
+    """
+    weight = c = 1
+    yield top, weight
+    for j in range(top - 1, -1, -1):
+        c = c * (j + 1) // (top - j)
+        weight = (j + 1) * weight + (c if (top - j) % 2 == 0 else -c)
+        yield j, weight
+
+
+def bell_window(n: int, count: int) -> list[int]:
+    """Bell numbers B_n, ..., B_{n+count-1} from one power sum, without a table.
+
+    With M = n + count - 1 and D the derangement numbers,
+
+        M! * B_m = sum_{j=0..M} C(M, j) * D_{M-j} * j^m    for every m <= M,
+
+    since S(m, k) = 0 for k > M.  Each j pays for one big product
+    C(M, j) * D_{M-j} * j^n, which a multiplication by j carries to the next m.
+    Each sum is asserted divisible by M! before it is returned.
+
+    >>> bell_window(3, 4)
+    [5, 15, 52, 203]
+    """
+    if n < 0 or count < 1:
+        raise ValueError(f"need n >= 0 and count >= 1, got n={n}, count={count}")
+    top = n + count - 1
+    if top > MAX_BELL_N:
+        raise ValueError(f"need n + count - 1 <= {MAX_BELL_N} (Bell number budget), got {top}")
+    sums = [0] * count
+    for j, weight in _window_weights(top):
+        term = weight * j**n
+        for h in range(count):
+            sums[h] += term
+            term *= j
+    scale = factorial(top)
+    out = []
+    for m, total in enumerate(sums, start=n):
+        value, rest = divmod(total, scale)
+        if rest:
+            raise ArithmeticError(f"power sum for B_{m} is not divisible by {top}!")
+        out.append(value)
+    return out
+
+
+def stirling2_single(n: int, k: int) -> int:
+    """One Stirling number S(n, k) from the alternating power sum
+
+        k! * S(n, k) = sum_{j=0..k} (-1)^(k-j) C(k, j) j^n,
+
+    asserted divisible by k!.  It builds no table, and keeps the budget of
+    :func:`stirling2`.
+
+    >>> [stirling2_single(4, k) for k in range(6)]
+    [0, 1, 7, 6, 1, 0]
+    """
+    if n < 0 or k < 0:
+        raise ValueError(f"stirling2 arguments must be nonnegative, got ({n}, {k})")
+    if n > MAX_STIRLING_N:
+        raise ValueError(f"need n <= {MAX_STIRLING_N} for S(n, k) (Stirling table budget), got n={n}")
+    if k > n:
+        return 0
+    total = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1))
+    value, rest = divmod(total, factorial(k))
+    if rest:
+        raise ArithmeticError(f"power sum for S({n}, {k}) is not divisible by {k}!")
+    return value

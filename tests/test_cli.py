@@ -60,6 +60,18 @@ def test_enumerate_listing_budget_counts_the_words_listed(capsys):
     assert json.loads(out)["result"]["words"] == [",".join(map(str, range(1, 21)))]
 
 
+def test_enumerate_json_count_builds_no_stirling_table(capsys, monkeypatch):
+    monkeypatch.setattr(counting, "_stirling", [[1]])
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "1000", "--k", "1000", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["count"] == 1
+    assert counting._stirling == [[1]]
+    code, out, err = run_cli(capsys, "enumerate", "--n", str(counting.MAX_STIRLING_N + 1), "--k", "2",
+                             "--format", "json")
+    assert (code, out) == (2, "")
+    assert "budget" in err and err.count("\n") == 1
+
+
 def test_enumerate_one_long_word(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "1000", "--k", "1000")
     assert code == 0

@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 
 from seprec import counting
-from seprec.counting import bell, binomial, stirling2
+from seprec.counting import bell, bell_window, binomial, stirling2, stirling2_single
 
 
 def stirling2_explicit(n: int, k: int) -> int:
@@ -86,6 +86,61 @@ def test_tables_refuse_rows_past_their_budget():
         stirling2(counting.MAX_STIRLING_N + 1, 1)
     with pytest.raises(ValueError, match="budget"):
         bell(counting.MAX_BELL_N + 1)
+
+
+def test_bell_window_equals_the_triangle():
+    for n in range(61):
+        for count in range(1, 5):
+            assert bell_window(n, count) == [bell(n + h) for h in range(count)], (n, count)
+    for n in (300, 1000):
+        assert bell_window(n, 4) == [bell(n + h) for h in range(4)], n
+
+
+def test_bell_window_argument_guards():
+    with pytest.raises(ValueError):
+        bell_window(-1, 1)
+    with pytest.raises(ValueError):
+        bell_window(3, 0)
+    with pytest.raises(ValueError, match="budget"):
+        bell_window(counting.MAX_BELL_N - 2, 4)
+    with pytest.raises(ValueError, match="budget"):
+        bell_window(counting.MAX_BELL_N + 1, 1)
+
+
+def test_bell_window_refuses_a_wrong_derangement_number(monkeypatch):
+    weights = counting._window_weights
+    cases = [(n, j) for n in (5, 30) for j in range(n + 4)] + [(200, j) for j in (0, 1, 2, 101, 203)]
+    for n, wrong in cases:
+        # D_{top-wrong} one too large: the weight C(top, wrong) * D_{top-wrong}
+        # grows by C(top, wrong)
+        def mutated(top, wrong=wrong):
+            for j, weight in weights(top):
+                yield j, weight + comb(top, j) if j == wrong else weight
+
+        monkeypatch.setattr(counting, "_window_weights", mutated)
+        if wrong == 0:
+            # the j = 0 term is 0^m = 0 for m >= 1: the window is still right
+            assert bell_window(n, 4) == [bell(n + h) for h in range(4)]
+        else:
+            with pytest.raises(ArithmeticError, match="not divisible"):
+                bell_window(n, 4)
+    monkeypatch.undo()
+    assert bell_window(5, 4) == [bell(5 + h) for h in range(4)]
+
+
+def test_single_stirling_number_equals_the_table():
+    for n in range(61):
+        for k in range(n + 2):
+            assert stirling2_single(n, k) == stirling2(n, k), (n, k)
+
+
+def test_single_stirling_number_keeps_the_table_budget():
+    with pytest.raises(ValueError):
+        stirling2_single(-1, 1)
+    with pytest.raises(ValueError):
+        stirling2_single(1, -1)
+    with pytest.raises(ValueError, match="budget"):
+        stirling2_single(counting.MAX_STIRLING_N + 1, 1)
 
 
 def test_bell_equals_binomial_recurrence():

@@ -3,8 +3,10 @@ from math import factorial
 
 import pytest
 
+from seprec import asymptotics, counting, formulas
 from seprec.counting import bell
 from seprec.formulas import (
+    MAX_BELL_TOTAL_N,
     PfdCoefficients,
     bell_egf,
     bell_shift_identities_check,
@@ -58,6 +60,44 @@ def test_total_n_spot_values():
 def test_total_n_argument_guard():
     with pytest.raises(ValueError):
         total_sep_n(0)
+
+
+def _primes(lo: int, hi: int) -> list[int]:
+    return [p for p in range(lo, hi) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def _bell_residues(top: int, p: int) -> list[int]:
+    """B_0..B_top mod p: a Bell triangle mod p up to B_p, then Touchard's
+    congruence B_{m+p} = B_m + B_{m+1} (mod p)."""
+    out, row = [1], [1]
+    while len(out) <= min(top, p):
+        new = [row[-1]]
+        for x in row:
+            new.append((new[-1] + x) % p)
+        out.append(new[0])
+        row = new
+    for m in range(len(out), top + 1):
+        out.append((out[m - p] + out[m - p + 1]) % p)
+    return out
+
+
+def test_total_n_at_its_budget_matches_bell_residues():
+    n = MAX_BELL_TOTAL_N
+    total = total_sep_n(n)
+    assert total > 0
+    for p in _primes(5, 100):
+        b = _bell_residues(n + 3, p)
+        want = 4 * b[n + 3] - 3 * b[n + 2] - (6 * n + 13) * b[n + 1] - (6 * n + 1) * b[n]
+        assert 12 * total % p == want % p, p
+
+
+def test_total_n_and_estimate_ratio_build_no_bell_table(monkeypatch):
+    monkeypatch.setattr(counting, "_bell", [1])
+    monkeypatch.setattr(counting, "_bell_row", [1])
+    formulas._total_and_bell.cache_clear()
+    total_sep_n(500)
+    asymptotics.estimate_ratio(400)
+    assert counting._bell == [1] and counting._bell_row == [1]
 
 
 def test_total_nk_matches_enumeration():
