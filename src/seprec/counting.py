@@ -10,14 +10,16 @@ table that is already long enough takes no lock.
 Both tables have a size budget.  The Stirling rows up to n hold O(n^3) bits
 (at n = 1000, about 230 MiB, built in 0.4 s); the Bell triangle up to B_3003
 takes about 4 s cold.  Callers that need a few values far up, rather than a
-prefix, compute them without a table: :func:`bell_window` gives B_n..B_{n+3}
-at n = 3000 (what ``formulas.total_sep_n`` reads at its budget) in about
-2 s, and :func:`stirling2_single` gives one S(n, k).
+prefix, compute them without a table: :func:`bell_combination` gives a
+combination of B_n..B_{n+3} at n = 3000 (what ``formulas.total_sep_n`` reads
+at its budget) in about 0.4 s, and :func:`stirling2_single` gives one
+S(n, k).  Both are power sums sum_j weight_j * j^n, evaluated by one
+least-prime-factor sieve (:func:`_power_sum`).
 """
 from __future__ import annotations
 
 import threading
-from math import comb, factorial
+from math import comb, factorial, isqrt
 
 _grow_lock = threading.Lock()
 
@@ -117,39 +119,76 @@ def _window_weights(top: int):
         yield j, weight
 
 
-def bell_window(n: int, count: int) -> list[int]:
-    """Bell numbers B_n, ..., B_{n+count-1} from one power sum, without a table.
+def _least_prime_factors(top: int) -> list[int]:
+    """lpf[j] = the least prime factor of j for 2 <= j <= top (lpf[0] = 0,
+    lpf[1] = 1), by the sieve of Eratosthenes."""
+    lpf = list(range(top + 1))
+    for p in range(2, isqrt(top) + 1):
+        if lpf[p] == p:
+            for m in range(p * p, top + 1, p):
+                if lpf[m] == m:
+                    lpf[m] = p
+    return lpf
 
-    With M = n + count - 1 and D the derangement numbers,
+
+def _power_sum(n: int, top: int, weights) -> int:
+    """sum_j weight_j * j^n over the pairs (j, weight_j) that ``weights``
+    yields for j = top, top-1, ..., 0 (with 0^0 = 1).
+
+    Each j is split as p * (j/p) with p its least prime factor, and
+    j^n = p^n * (j/p)^n: walking j downward, a composite j pushes its
+    accumulated weight times p^n onto j/p, which comes later.  For p = 2
+    that is a shift; an odd p is at most sqrt(top), so its power is cached.
+    Only a prime j pays for a full j^n and one big product.
+    """
+    lpf = _least_prime_factors(top)
+    pending = [0] * (top + 1)
+    powers: dict[int, int] = {}
+    total = 0
+    for j, weight in weights:
+        weight += pending[j]
+        pending[j] = 0
+        if not weight:
+            continue
+        p = lpf[j]
+        if p == j:  # a prime, or j = 0 or 1
+            total += weight * j**n
+        elif p == 2:
+            pending[j >> 1] += weight << n
+        else:
+            power = powers.get(p)
+            if power is None:
+                power = powers[p] = p**n
+            pending[j // p] += weight * power
+    return total
+
+
+def bell_combination(n: int, coeffs: tuple[int, ...]) -> int:
+    """sum_h coeffs[h] * B_{n+h} from one power sum, without a table.
+
+    With M = n + len(coeffs) - 1 and D the derangement numbers,
 
         M! * B_m = sum_{j=0..M} C(M, j) * D_{M-j} * j^m    for every m <= M,
 
-    since S(m, k) = 0 for k > M.  Each j pays for one big product
-    C(M, j) * D_{M-j} * j^n, which a multiplication by j carries to the next m.
-    Each sum is asserted divisible by M! before it is returned.
+    since S(m, k) = 0 for k > M.  So the combination is one power sum
+    sum_j C(M, j) * D_{M-j} * c(j) * j^n with the small weight
+    c(j) = sum_h coeffs[h] * j^h, evaluated by :func:`_power_sum`.  The sum
+    is asserted divisible by M! before it is returned.
 
-    >>> bell_window(3, 4)
-    [5, 15, 52, 203]
+    >>> bell_combination(3, (0, 0, 0, 1)), bell_combination(3, (1, 1))
+    (203, 20)
     """
-    if n < 0 or count < 1:
-        raise ValueError(f"need n >= 0 and count >= 1, got n={n}, count={count}")
-    top = n + count - 1
+    if n < 0 or not coeffs:
+        raise ValueError(f"need n >= 0 and at least one coefficient, got n={n}, coeffs={coeffs!r}")
+    top = n + len(coeffs) - 1
     if top > MAX_BELL_N:
-        raise ValueError(f"need n + count - 1 <= {MAX_BELL_N} (Bell number budget), got {top}")
-    sums = [0] * count
-    for j, weight in _window_weights(top):
-        term = weight * j**n
-        for h in range(count):
-            sums[h] += term
-            term *= j
-    scale = factorial(top)
-    out = []
-    for m, total in enumerate(sums, start=n):
-        value, rest = divmod(total, scale)
-        if rest:
-            raise ArithmeticError(f"power sum for B_{m} is not divisible by {top}!")
-        out.append(value)
-    return out
+        raise ValueError(f"need n + len(coeffs) - 1 <= {MAX_BELL_N} (Bell number budget), got {top}")
+    weights = ((j, weight * sum(a * j**h for h, a in enumerate(coeffs)))
+               for j, weight in _window_weights(top))
+    value, rest = divmod(_power_sum(n, top, weights), factorial(top))
+    if rest:
+        raise ArithmeticError(f"power sum for the Bell combination at n={n} is not divisible by {top}!")
+    return value
 
 
 def stirling2_single(n: int, k: int) -> int:
@@ -169,8 +208,8 @@ def stirling2_single(n: int, k: int) -> int:
         raise ValueError(f"need n <= {MAX_STIRLING_N} for S(n, k) (Stirling table budget), got n={n}")
     if k > n:
         return 0
-    total = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1))
-    value, rest = divmod(total, factorial(k))
+    signed = ((j, comb(k, j) if (k - j) % 2 == 0 else -comb(k, j)) for j in range(k, -1, -1))
+    value, rest = divmod(_power_sum(n, k, signed), factorial(k))
     if rest:
         raise ArithmeticError(f"power sum for S({n}, {k}) is not divisible by {k}!")
     return value

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .counting import bell, bell_window, stirling2
+from .counting import bell, bell_combination, stirling2
 
 
 def _record_offset_total(k: int) -> int:
@@ -61,44 +61,32 @@ def total_sep_nk(n: int, k: int) -> int:
     return total
 
 
-# total_sep_n(3000) takes about 2 s, growing about as n^2.8: one power sum of
-# n + 4 big products (counting.bell_window).
+# total_sep_n(3000) takes about 0.4 s: one power sum over j <= n + 3 in which
+# only the 430 primes j pay a full j^n and a big product
+# (counting.bell_combination).
 MAX_BELL_TOTAL_N = 3000
 
 
 @lru_cache(maxsize=4)
-def _total_and_bell(n: int) -> tuple[int, int]:
-    """The Bell-number total at ``n`` and B_n, both read from one
-    :func:`seprec.counting.bell_window` (see :func:`total_sep_n`).
-
-    The last few results are kept, so an n asked for again pays for no
-    second power sum; no Bell table is kept."""
-    if not 1 <= n <= MAX_BELL_TOTAL_N:
-        raise ValueError(f"need 1 <= n <= {MAX_BELL_TOTAL_N}, got {n}")
-    b0, b1, b2, b3 = bell_window(n, 4)
-    total = (
-        Fraction(b3, 3)
-        - Fraction(b2, 4)
-        - (Fraction(n, 2) + Fraction(13, 12)) * b1
-        - (Fraction(n, 2) + Fraction(1, 12)) * b0
-    )
-    if total.denominator != 1:
-        raise ArithmeticError(f"Bell-number total for n={n} is not an integer: {total}")
-    return total.numerator, b0
-
-
 def total_sep_n(n: int) -> int:
     """Total of sep over all set partitions of [n], in Bell numbers:
 
         (1/3) B_{n+3} - (1/4) B_{n+2} - (n/2 + 13/12) B_{n+1} - (n/2 + 1/12) B_n
 
-    The four Bell numbers come from one power sum, not from the Bell table.
-    Evaluated in exact rationals and asserted integral before returning.
+    Twelve times it, 4 B_{n+3} - 3 B_{n+2} - (6n+13) B_{n+1} - (6n+1) B_n,
+    comes from one power sum, not from the Bell table, and is asserted
+    divisible by 12.  The last few results are kept, so an n asked for again
+    pays for no second power sum.
 
     >>> [total_sep_n(n) for n in range(1, 5)]
     [0, 1, 8, 50]
     """
-    return _total_and_bell(n)[0]
+    if not 1 <= n <= MAX_BELL_TOTAL_N:
+        raise ValueError(f"need 1 <= n <= {MAX_BELL_TOTAL_N}, got {n}")
+    total, rest = divmod(bell_combination(n, (-(6 * n + 1), -(6 * n + 13), -3, 4)), 12)
+    if rest:
+        raise ArithmeticError(f"Bell-number total for n={n} is not an integer: {total} + {rest}/12")
+    return total
 
 
 def _over_one_minus(a: list[int], i: int) -> list[int]:

@@ -22,8 +22,6 @@ cache.  ``brute_total_nk`` keeps its pruned per-cell stream through
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from . import setpart, stats
 
 MAX_TOTAL_N = 12
@@ -66,6 +64,8 @@ def brute_totals_by_k(n: int, workers: int = 1) -> dict[int, int]:
     if not 1 <= n <= MAX_TOTAL_N:
         raise ValueError(f"need 1 <= n <= {MAX_TOTAL_N}, got n={n}")
     if workers > 1 and n > 2:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: it costs every CLI start
+
         prefixes = list(setpart.iterate_all(min(4, n - 1)))  # B_4 = 15 at full depth
         with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as pool:
             totals = [sum(col) for col in zip(*pool.map(_census, prefixes, [n] * len(prefixes)))]

@@ -150,6 +150,14 @@ def test_enumerate_streams(argv, head):
         proc.wait()
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    script = ("import sys\nimport seprec.cli\n"
+              "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_stat_sep(capsys):
     code, out, _ = run_cli(capsys, "stat", "--word", "121132", "--stats", "sep")
     assert code == 0

@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 
 from seprec import counting
-from seprec.counting import bell, bell_window, binomial, stirling2, stirling2_single
+from seprec.counting import bell, bell_combination, binomial, stirling2, stirling2_single
 
 
 def stirling2_explicit(n: int, k: int) -> int:
@@ -88,26 +88,33 @@ def test_tables_refuse_rows_past_their_budget():
         bell(counting.MAX_BELL_N + 1)
 
 
-def test_bell_window_equals_the_triangle():
+def _unit(h: int, length: int) -> tuple[int, ...]:
+    return tuple(int(i == h) for i in range(length))
+
+
+def test_bell_combination_of_unit_rows_equals_the_triangle():
+    # n = 0 included: there the j = 0 term is 0^0 = 1
     for n in range(61):
-        for count in range(1, 5):
-            assert bell_window(n, count) == [bell(n + h) for h in range(count)], (n, count)
+        for length in range(1, 5):
+            for h in range(length):
+                assert bell_combination(n, _unit(h, length)) == bell(n + h), (n, h, length)
     for n in (300, 1000):
-        assert bell_window(n, 4) == [bell(n + h) for h in range(4)], n
+        for h in range(4):
+            assert bell_combination(n, _unit(h, 4)) == bell(n + h), (n, h)
 
 
-def test_bell_window_argument_guards():
+def test_bell_combination_argument_guards():
     with pytest.raises(ValueError):
-        bell_window(-1, 1)
+        bell_combination(-1, (1,))
     with pytest.raises(ValueError):
-        bell_window(3, 0)
+        bell_combination(3, ())
     with pytest.raises(ValueError, match="budget"):
-        bell_window(counting.MAX_BELL_N - 2, 4)
+        bell_combination(counting.MAX_BELL_N - 2, (0, 0, 0, 1))
     with pytest.raises(ValueError, match="budget"):
-        bell_window(counting.MAX_BELL_N + 1, 1)
+        bell_combination(counting.MAX_BELL_N + 1, (1,))
 
 
-def test_bell_window_refuses_a_wrong_derangement_number(monkeypatch):
+def test_bell_combination_refuses_a_wrong_derangement_number(monkeypatch):
     weights = counting._window_weights
     cases = [(n, j) for n in (5, 30) for j in range(n + 4)] + [(200, j) for j in (0, 1, 2, 101, 203)]
     for n, wrong in cases:
@@ -118,14 +125,15 @@ def test_bell_window_refuses_a_wrong_derangement_number(monkeypatch):
                 yield j, weight + comb(top, j) if j == wrong else weight
 
         monkeypatch.setattr(counting, "_window_weights", mutated)
-        if wrong == 0:
-            # the j = 0 term is 0^m = 0 for m >= 1: the window is still right
-            assert bell_window(n, 4) == [bell(n + h) for h in range(4)]
-        else:
-            with pytest.raises(ArithmeticError, match="not divisible"):
-                bell_window(n, 4)
+        for h in range(4):
+            if wrong == 0:
+                # the j = 0 term is 0^m = 0 for m >= 1: the sum is still right
+                assert bell_combination(n, _unit(h, 4)) == bell(n + h), (n, h)
+            else:
+                with pytest.raises(ArithmeticError, match="not divisible"):
+                    bell_combination(n, _unit(h, 4))
     monkeypatch.undo()
-    assert bell_window(5, 4) == [bell(5 + h) for h in range(4)]
+    assert bell_combination(5, _unit(3, 4)) == bell(8)
 
 
 def test_single_stirling_number_equals_the_table():

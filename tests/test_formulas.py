@@ -94,10 +94,29 @@ def test_total_n_at_its_budget_matches_bell_residues():
 def test_total_n_and_estimate_ratio_build_no_bell_table(monkeypatch):
     monkeypatch.setattr(counting, "_bell", [1])
     monkeypatch.setattr(counting, "_bell_row", [1])
-    formulas._total_and_bell.cache_clear()
+    formulas.total_sep_n.cache_clear()
     total_sep_n(500)
     asymptotics.estimate_ratio(400)
     assert counting._bell == [1] and counting._bell_row == [1]
+
+
+def test_total_n_equals_the_fraction_combination_of_bell_numbers():
+    for n in range(1, 301):
+        b0, b1, b2, b3 = (bell(n + h) for h in range(4))
+        want = (Fraction(b3, 3) - Fraction(b2, 4)
+                - (Fraction(n, 2) + Fraction(13, 12)) * b1 - (Fraction(n, 2) + Fraction(1, 12)) * b0)
+        assert want == total_sep_n(n), n
+
+
+def test_total_n_refuses_a_combination_not_divisible_by_12(monkeypatch):
+    combination = formulas.bell_combination
+    monkeypatch.setattr(formulas, "bell_combination", lambda n, coeffs: combination(n, coeffs) + 1)
+    formulas.total_sep_n.cache_clear()
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        total_sep_n(10)
+    monkeypatch.undo()
+    formulas.total_sep_n.cache_clear()
+    assert total_sep_n(4) == 50
 
 
 def test_total_nk_matches_enumeration():

@@ -1,6 +1,8 @@
+import concurrent.futures
+
 import pytest
 
-from seprec import oracle, setpart, stats
+from seprec import setpart, stats
 from seprec.counting import stirling2
 from seprec.oracle import (
     MAX_DIST_N,
@@ -77,7 +79,7 @@ def test_totals_by_k_pool_has_at_most_one_worker_per_prefix(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     for n in (3, 4, 8):
         assert brute_totals_by_k(n, workers=10**6) == brute_totals_by_k(n)
     # depth-2, depth-3 and depth-4 prefixes: B_2, B_3 and B_4 chunks
