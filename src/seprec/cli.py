@@ -5,6 +5,13 @@ command supports ``--format plain|json|csv`` where it makes sense; identical
 inputs produce byte-identical output (no timestamps, stable ordering).  All
 stdout streams through one sink, ``_Stdout``; warnings and errors go to stderr.
 
+A command computes its result and hands it to ``_render`` in three shapes:
+the json result, csv header and rows, and plain lines.  ``_render`` alone
+picks the one that ``--format`` asks for and writes it; the json envelope
+carries the command name and its parsed arguments as ``params``.  Only
+``enumerate --format json`` writes its own envelope, to stream the words
+inside it.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
 closed by its reader (as a shell reports for ``yes | head -1``).  The worker
 count for verification sweeps comes from the SEPREC_WORKERS environment
@@ -13,7 +20,6 @@ variable (default 1).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
@@ -61,39 +67,27 @@ class _Stdout:
         sys.stdout.flush()
 
 
-def _write_lines(out: _Stdout, lines) -> None:
-    for line in lines:
-        out.write(line + "\n")
+def _envelope(args, result) -> dict:
+    """The json document of a command: its name, its arguments and its result."""
+    params = {key: value for key, value in vars(args).items() if key not in ("command", "format", "func")}
+    return {"command": args.command, "params": params, "result": result}
 
 
-def _write_json(out: _Stdout, payload) -> None:
-    json.dump(payload, out, sort_keys=True, indent=2)
-    out.write("\n")
-
-
-def _write_csv(out: _Stdout, header: list[str], rows) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _envelope(command: str, params: dict, result) -> dict:
-    return {"command": command, "params": params, "result": result}
-
-
-@contextlib.contextmanager
-def _unlimited_int_digits():
-    """Lift CPython's limit on int-to-str digits (Python 3.11+) while a command
-    writes numbers it computed.  Parsing argv keeps the default limit."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
+def _render(args, out: _Stdout, result, header, rows, lines) -> None:
+    """Write a command's result in the format it was asked for: ``result``
+    inside the json envelope, ``header`` and ``rows`` as csv, or ``lines`` as
+    plain text.  Only that format's part is read, so ``rows`` and ``lines``
+    may be generators."""
+    if args.format == "json":
+        json.dump(_envelope(args, result), out, sort_keys=True, indent=2)
+        out.write("\n")
+    elif args.format == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in lines:
+            out.write(line + "\n")
 
 
 def _workers() -> int:
@@ -113,21 +107,18 @@ def _cmd_enumerate(args, out: _Stdout) -> int:
     n, k = args.n, args.k
     words = setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
     formatted = map(setpart.format_word, words)
-    if args.format == "plain":
-        _write_lines(out, formatted)
-    elif args.format == "csv":
-        _write_csv(out, ["word"], zip(formatted))
-    else:
-        count = counting.bell(n) if k is None else counting.stirling2_single(n, k)
-        result = {"count": count, "words": ["@", "@"]}
-        frame = json.dumps(_envelope("enumerate", {"n": n, "k": k}, result), sort_keys=True, indent=2)
-        # json's own text around and between two placeholder words; a word holds
-        # only digits and commas, so f'"{w}"' is json.dumps(w)
-        head, between, tail = frame.split('"@"')
-        out.write(f'{head}"{next(formatted)}"')
-        for w in formatted:
-            out.write(f'{between}"{w}"')
-        out.write(tail + "\n")
+    if args.format != "json":
+        _render(args, out, None, ["word"], zip(formatted), formatted)
+        return 0
+    count = counting.bell_combination(n, (1,)) if k is None else counting.stirling2_single(n, k)
+    frame = json.dumps(_envelope(args, {"count": count, "words": ["@", "@"]}), sort_keys=True, indent=2)
+    # json's own text around and between two placeholder words; a word holds
+    # only digits and commas, so f'"{w}"' is json.dumps(w)
+    head, between, tail = frame.split('"@"')
+    out.write(f'{head}"{next(formatted)}"')
+    for w in formatted:
+        out.write(f'{between}"{w}"')
+    out.write(tail + "\n")
     return 0
 
 
@@ -157,20 +148,13 @@ def _cmd_stat(args, out: _Stdout) -> int:
             results.append((f"sep_a({args.a})", stats.sep_a(word, args.a)))
         else:
             raise ValueError(f"unknown statistic {name!r} (use sep, sep_a, srec, swrec, records)")
-    if args.format == "plain":
-        lines = []
-        for name, value in results:
-            if name == "records":
-                value = ",".join(f"{v}:{p}" for v, p in value)
-            lines.append(f"{name} {value}")
-        _write_lines(out, lines)
-    elif args.format == "json":
-        params = {"word": args.word, "stats": args.stats, "a": args.a}
-        _write_json(out, _envelope("stat", params, dict(results)))
-    else:
-        rows = [[name, json.dumps(value) if isinstance(value, list) else value]
-                for name, value in results]
-        _write_csv(out, ["stat", "value"], rows)
+    lines = []
+    for name, value in results:
+        if name == "records":
+            value = ",".join(f"{v}:{p}" for v, p in value)
+        lines.append(f"{name} {value}")
+    rows = ([name, json.dumps(value) if isinstance(value, list) else value] for name, value in results)
+    _render(args, out, dict(results), ["stat", "value"], rows, lines)
     return 0
 
 
@@ -208,17 +192,9 @@ def _total_value(n: int, k, method: str) -> int:
 def _cmd_total(args, out: _Stdout) -> int:
     if args.method == "literal":
         print(LITERAL_WARNING, file=sys.stderr)
-    value = _total_value(args.n, args.k, args.method)
-    with _unlimited_int_digits():
-        text = str(value)
-    if args.format == "plain":
-        _write_lines(out, [text])
-    elif args.format == "json":
-        params = {"n": args.n, "k": args.k, "method": args.method}
-        _write_json(out, _envelope("total", params, text))
-    else:
-        _write_csv(out, ["n", "k", "method", "total"],
-                   [[args.n, "" if args.k is None else args.k, args.method, text]])
+    text = str(_total_value(args.n, args.k, args.method))
+    _render(args, out, text, ["n", "k", "method", "total"],
+            [[args.n, "" if args.k is None else args.k, args.method, text]], [text])
     return 0
 
 
@@ -233,27 +209,12 @@ def _cmd_pfd(args, out: _Stdout) -> int:
         table = formulas.pfd_oracle(args.k)
     else:
         table = formulas.pfd_coeffs(args.k, literal=args.literal)
-    rows = []
-    for m in range(1, args.k + 1):
-        am, bm = table.row(m)
-        rows.append((m, am, bm))
-    with _unlimited_int_digits():
-        if args.format == "plain":
-            _write_lines(out, (f"{args.k} {m} {am} {bm}" for m, am, bm in rows))
-        elif args.format == "json":
-            params = {"k": args.k, "oracle": args.oracle, "literal": args.literal}
-            result = [
-                {"m": m, "a": [am.numerator, am.denominator], "b": [bm.numerator, bm.denominator]}
-                for m, am, bm in rows
-            ]
-            _write_json(out, _envelope("pfd", params, result))
-        else:
-            _write_csv(
-                out,
-                ["k", "m", "a_num", "a_den", "b_num", "b_den"],
-                [[args.k, m, am.numerator, am.denominator, bm.numerator, bm.denominator]
-                 for m, am, bm in rows],
-            )
+    entries = [(m, *table.row(m)) for m in range(1, args.k + 1)]
+    result = [{"m": m, "a": [am.numerator, am.denominator], "b": [bm.numerator, bm.denominator]}
+              for m, am, bm in entries]
+    rows = ([args.k, m, am.numerator, am.denominator, bm.numerator, bm.denominator] for m, am, bm in entries)
+    lines = (f"{args.k} {m} {am} {bm}" for m, am, bm in entries)
+    _render(args, out, result, ["k", "m", "a_num", "a_den", "b_num", "b_den"], rows, lines)
     return 0
 
 
@@ -263,18 +224,9 @@ def _cmd_series(args, out: _Stdout) -> int:
     if args.literal:
         print(LITERAL_WARNING, file=sys.stderr)
     xs = series.distribution_series(args.k, args.a, args.order, literal=args.literal)
-    if args.format == "plain":
-        _write_lines(out, [series.format_series(xs)])
-    elif args.format == "json":
-        params = {"k": args.k, "a": args.a, "order": args.order, "literal": args.literal}
-        result = [[n, sorted(c.to_dict().items())] for n, c in enumerate(xs.coeffs)]
-        _write_json(out, _envelope("series", params, result))
-    else:
-        rows = []
-        for n, c in enumerate(xs.coeffs):
-            for s, count in sorted(c.to_dict().items()):
-                rows.append([n, s, count])
-        _write_csv(out, ["n", "s", "count"], rows)
+    result = [[n, sorted(c.to_dict().items())] for n, c in enumerate(xs.coeffs)]
+    rows = ([n, s, count] for n, terms in result for s, count in terms)
+    _render(args, out, result, ["n", "s", "count"], rows, [series.format_series(xs)])
     return 0
 
 
@@ -287,17 +239,11 @@ def _cmd_asym(args, out: _Stdout) -> int:
     if not ns:
         raise ValueError("empty --n-list")
     reports = asymptotics.sweep(ns, literal=args.literal)
-    if args.format == "json":
-        params = {"n_list": args.n_list, "literal": args.literal}
-        result = [dataclasses.asdict(rep) for rep in reports]
-        _write_json(out, _envelope("asym", params, result))
-    elif args.format == "csv":
-        _write_csv(out, ["n", "r", "ratio", "abs_err"],
-                   ([rep.n, f"{rep.r:.12g}", f"{rep.ratio:.12g}", f"{rep.abs_err:.12g}"] for rep in reports))
-    else:
-        lines = [f"{'n':>6} {'r':>16} {'ratio':>16} {'abs_err':>16}"]
-        lines += (f"{rep.n:>6} {rep.r:>16.12g} {rep.ratio:>16.12g} {rep.abs_err:>16.12g}" for rep in reports)
-        _write_lines(out, lines)
+    result = [dataclasses.asdict(rep) for rep in reports]
+    rows = ([rep.n, f"{rep.r:.12g}", f"{rep.ratio:.12g}", f"{rep.abs_err:.12g}"] for rep in reports)
+    lines = [f"{'n':>6} {'r':>16} {'ratio':>16} {'abs_err':>16}"]
+    lines += (f"{rep.n:>6} {rep.r:>16.12g} {rep.ratio:>16.12g} {rep.abs_err:>16.12g}" for rep in reports)
+    _render(args, out, result, ["n", "r", "ratio", "abs_err"], rows, lines)
     return 0
 
 
@@ -319,23 +265,16 @@ def _cmd_verify(args, out: _Stdout) -> int:
             raise ValueError(f"unknown suites: {', '.join(unknown)}")
     else:
         names = list(_SUITES)
+    args.suites = ",".join(names)
     workers = _workers()
     results = []
     for name in names:
         ok, detail = _SUITES[name](max_n, workers)
         results.append({"name": name, "ok": ok, "detail": detail})
     failed = [r for r in results if not r["ok"]]
-    if args.format == "json":
-        payload = _envelope(
-            "verify",
-            {"max_n": max_n, "suites": ",".join(names)},
-            {"ok": not failed, "suites": results},
-        )
-        _write_json(out, payload)
-    else:
-        lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results]
-        lines.append(f"RESULT {'PASS' if not failed else 'FAIL'} ({len(results) - len(failed)}/{len(results)} suites)")
-        _write_lines(out, lines)
+    lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results]
+    lines.append(f"RESULT {'PASS' if not failed else 'FAIL'} ({len(results) - len(failed)}/{len(results)} suites)")
+    _render(args, out, {"ok": not failed, "suites": results}, None, None, lines)
     return 1 if failed else 0
 
 
@@ -407,6 +346,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out = _Stdout()
+    # Lift CPython's limit on int-to-str digits (Python 3.11+) while the
+    # command runs: the numbers it writes may be longer.  argparse reads the
+    # int options under the default limit.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args, out)
         out.flush()
@@ -419,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         # flush at exit cannot fail again and print a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -132,7 +132,9 @@ def test_enumerate_across_write_chunks(capsys, monkeypatch, fmt, n, k, chars_per
     # B_13 = 27,644,437 words make about 400 MB of text; json and csv stream it
     (("--n", "13", "--format", "json"), [b"{\n", b'  "command": "enumerate",\n']),
     (("--n", "13", "--format", "csv"), [b"word\n", b"1111111111111\n"]),
-], ids=["plain_long_words", "json", "csv"])
+    # the count B_2100 has more digits than CPython's default int-to-str limit
+    (("--n", "2100", "--format", "json"), [b"{\n", b'  "command": "enumerate",\n']),
+], ids=["plain_long_words", "json", "csv", "json_past_the_int_digit_limit"])
 def test_enumerate_streams(argv, head):
     script = ("import resource, sys\nfrom seprec import cli\ncode = cli.main(sys.argv[1:])\n"
               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
@@ -360,6 +362,13 @@ def test_stdout_has_one_path():
     assert writes(flush) and writes(tree) == writes(flush)
 
 
+def test_only_the_renderer_and_enumerate_read_the_format():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Attribute) and ast.unparse(node) == "args.format"}
+    assert readers == {"_render", "_cmd_enumerate"}
+
+
 def test_total_egf_asserts_integrality(capsys, monkeypatch):
     monkeypatch.setattr(formulas, "egf_coeffs", lambda n: [Fraction(1, 2 * factorial(n))] * (n + 1))
     code, out, err = run_cli(capsys, "total", "--n", "3", "--method", "egf")
@@ -398,6 +407,28 @@ def test_json_round_trip(capsys):
         assert code == 0
         parsed = json.loads(out)
         assert json.dumps(parsed, sort_keys=True, indent=2) + "\n" == out
+
+
+@pytest.mark.parametrize("argv, params", [
+    (("enumerate", "--n", "3"), {"n": 3, "k": None}),
+    (("enumerate", "--n", "3", "--k", "2"), {"n": 3, "k": 2}),
+    (("stat", "--word", "121132"), {"word": "121132", "stats": "sep", "a": None}),
+    (("stat", "--word", "121132", "--stats", "sep_a,records", "--a", "2"),
+     {"word": "121132", "stats": "sep_a,records", "a": 2}),
+    (("total", "--n", "5"), {"n": 5, "k": None, "method": "formula"}),
+    (("total", "--n", "5", "--k", "2", "--method", "brute"), {"n": 5, "k": 2, "method": "brute"}),
+    (("pfd", "--k", "3", "--oracle"), {"k": 3, "oracle": True, "literal": False}),
+    (("series", "--k", "2", "--a", "2", "--order", "4", "--literal"),
+     {"k": 2, "a": 2, "order": 4, "literal": True}),
+    (("asym", "--n-list", "10,20"), {"n_list": "10,20", "literal": False}),
+    (("verify", "--max-n", "3"), {"max_n": 3, "suites": "counts,roundtrip,stats_dual,totals,bell_total,"
+                                                         "distribution,pfd,egf,integrality,rowsum"}),
+    (("verify", "--max-n", "3", "--suites", " totals, counts,"), {"max_n": 3, "suites": "totals,counts"}),
+])
+def test_json_params(capsys, argv, params):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == params
 
 
 def test_pfd_plain_and_oracle_agree(capsys):

@@ -94,7 +94,6 @@ def test_total_n_at_its_budget_matches_bell_residues():
 def test_total_n_and_estimate_ratio_build_no_bell_table(monkeypatch):
     monkeypatch.setattr(counting, "_bell", [1])
     monkeypatch.setattr(counting, "_bell_row", [1])
-    formulas.total_sep_n.cache_clear()
     total_sep_n(500)
     asymptotics.estimate_ratio(400)
     assert counting._bell == [1] and counting._bell_row == [1]
@@ -111,11 +110,9 @@ def test_total_n_equals_the_fraction_combination_of_bell_numbers():
 def test_total_n_refuses_a_combination_not_divisible_by_12(monkeypatch):
     combination = formulas.bell_combination
     monkeypatch.setattr(formulas, "bell_combination", lambda n, coeffs: combination(n, coeffs) + 1)
-    formulas.total_sep_n.cache_clear()
     with pytest.raises(ArithmeticError, match="not an integer"):
         total_sep_n(10)
     monkeypatch.undo()
-    formulas.total_sep_n.cache_clear()
     assert total_sep_n(4) == 50
 
 
@@ -255,6 +252,12 @@ def test_egf_reproduces_totals():
 
 def test_bell_shift_identities_hold():
     assert all(bell_shift_identities_check(30).values())
+
+
+def test_bell_shift_identities_fail_on_one_wrong_bell_number(monkeypatch):
+    monkeypatch.setattr(formulas, "bell", lambda n: bell(n) + (n == 10))
+    assert bell_shift_identities_check(30) == dict.fromkeys(
+        ["exp_x", "exp_2x", "exp_3x", "x_exp_x", "x_exp_2x"], False)
 
 
 def test_bell_shift_spot_values():
