@@ -9,8 +9,10 @@ A command computes its result and hands it to ``_render`` in three shapes:
 the json result, csv header and rows, and plain lines.  ``_render`` alone
 picks the one that ``--format`` asks for and writes it; the json envelope
 carries the command name and its parsed arguments as ``params``.  Only
-``enumerate --format json`` writes its own envelope, to stream the words
-inside it.
+``enumerate`` writes its own output: it streams the text chunks of
+``setpart.lines`` (a run of digit words that differ only in their last
+letter, or one comma word) as they are in plain, inside the same json
+envelope, or as csv rows, which quote only the comma words.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
 closed by its reader (as a shell reports for ``yes | head -1``).  The worker
@@ -105,20 +107,32 @@ def _workers() -> int:
 
 def _cmd_enumerate(args, out: _Stdout) -> int:
     n, k = args.n, args.k
-    words = setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
-    formatted = map(setpart.format_word, words)
-    if args.format != "json":
-        _render(args, out, None, ["word"], zip(formatted), formatted)
-        return 0
-    count = counting.bell_combination(n, (1,)) if k is None else counting.stirling2_single(n, k)
-    frame = json.dumps(_envelope(args, {"count": count, "words": ["@", "@"]}), sort_keys=True, indent=2)
-    # json's own text around and between two placeholder words; a word holds
-    # only digits and commas, so f'"{w}"' is json.dumps(w)
-    head, between, tail = frame.split('"@"')
-    out.write(f'{head}"{next(formatted)}"')
-    for w in formatted:
-        out.write(f'{between}"{w}"')
-    out.write(tail + "\n")
+    chunks = setpart.lines(n, k)
+    if args.format == "plain":
+        for chunk in chunks:
+            out.write(chunk)
+    elif args.format == "csv":
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["word"])
+        for chunk in chunks:
+            # a digit word needs no quotes, so only a comma word goes to the writer
+            if "," in chunk:
+                writer.writerows(zip(chunk.splitlines()))
+            else:
+                out.write(chunk)
+    else:
+        count = counting.bell_combination(n, (1,)) if k is None else counting.stirling2_single(n, k)
+        frame = json.dumps(_envelope(args, {"count": count, "words": ["@", "@"]}), sort_keys=True, indent=2)
+        # json's own text around and between two placeholder words; a word holds
+        # only digits and commas, so f'"{w}"' is json.dumps(w)
+        head, between, tail = frame.split('"@"')
+        separator = '"' + between + '"'
+        out.write(head + '"')
+        text = ""
+        for chunk in chunks:
+            out.write(text)
+            text = chunk.replace("\n", separator)
+        out.write(text[:1 - len(separator)] + tail + "\n")
     return 0
 
 

@@ -12,6 +12,9 @@ recursion limit; generators yield fresh tuples, storable without copying.
 
 Text form: a word prints as a bare digit string when its largest letter is at
 most 9 (e.g. ``12231``) and as comma-separated integers otherwise.
+:func:`lines` streams that text for a whole listing from the same walk,
+without tuples: consecutive words that differ only in their last letter
+share the rest of their text, so a run of digit words is formatted once.
 """
 from __future__ import annotations
 
@@ -102,13 +105,21 @@ def from_blocks(blocks: Sequence[Iterable[int]]) -> Word:
     return validate(word)
 
 
-def _walk(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterator[Word]:
+def _walk(word: list[int], i: int, biggest: int, low: int, high: int, block=None) -> Iterator:
     """Completions of ``word[:i]`` (maximum ``biggest``) to restricted growth
     strings with largest letter in ``low..high``, in lexicographic order; one
-    must exist.  Each yield is a fresh tuple of the shared buffer ``word``."""
+    must exist.  Each yield is a fresh tuple of the shared buffer ``word``.
+
+    With ``block`` given, the walk yields from ``block(word, first, stop)``
+    instead, once per run of words that differ only in their last letter:
+    ``word[:-1]`` followed by each of ``first..stop-1``.  ``block`` may
+    change ``word[-1]`` and no other letter."""
     last = len(word) - 1
     if i > last:
-        yield tuple(word)
+        if block is None:
+            yield tuple(word)
+        else:
+            yield from block(word, word[last], word[last] + 1)
         return
     top = [biggest] * (last + 1)  # top[t] = max(word[:t]) for t >= i
     t = i
@@ -119,9 +130,13 @@ def _walk(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterato
             word[t] = v = 1 if low - b <= last - t else b + 1
             top[t + 1] = b if v <= b else v
         b = top[last]
-        for v in range(1 if b >= low else low, (b + 1 if b < high else high) + 1):
-            word[last] = v
-            yield tuple(word)
+        first, stop = 1 if b >= low else low, (b + 1 if b < high else high) + 1
+        if block is None:
+            for v in range(first, stop):
+                word[last] = v
+                yield tuple(word)
+        else:
+            yield from block(word, first, stop)
         # carry: the rightmost letter before the last that can still grow
         t = last - 1
         while t >= i and (word[t] > top[t] or word[t] >= high):
@@ -133,6 +148,18 @@ def _walk(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterato
         t += 1
 
 
+def _letter_range(n: int, k: int | None) -> tuple[int, int]:
+    """Bounds on the largest letter of the length-``n`` words with ``k``
+    blocks, or with any number of blocks when ``k`` is None."""
+    if k is None:
+        if not 1 <= n <= MAX_WORD_LENGTH:
+            raise ValueError(f"need 1 <= n <= {MAX_WORD_LENGTH} (word-length budget), got {n}")
+        return 1, n
+    if not 1 <= k <= n <= MAX_WORD_LENGTH:
+        raise ValueError(f"need 1 <= k <= n <= {MAX_WORD_LENGTH} (word-length budget), got k={k}, n={n}")
+    return k, k
+
+
 def iterate_all(n: int) -> Iterator[Word]:
     """All restricted growth strings of length ``n`` in lexicographic order.
 
@@ -141,9 +168,7 @@ def iterate_all(n: int) -> Iterator[Word]:
     >>> list(iterate_all(3))
     [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
     """
-    if not 1 <= n <= MAX_WORD_LENGTH:
-        raise ValueError(f"need 1 <= n <= {MAX_WORD_LENGTH} (word-length budget), got {n}")
-    return _walk([1] * n, 1, 1, 1, n)
+    return _walk([1] * n, 1, 1, *_letter_range(n, None))
 
 
 def iterate_with_k(n: int, k: int) -> Iterator[Word]:
@@ -155,9 +180,7 @@ def iterate_with_k(n: int, k: int) -> Iterator[Word]:
     >>> list(iterate_with_k(4, 4))
     [(1, 2, 3, 4)]
     """
-    if not 1 <= k <= n <= MAX_WORD_LENGTH:
-        raise ValueError(f"need 1 <= k <= n <= {MAX_WORD_LENGTH} (word-length budget), got k={k}, n={n}")
-    return _walk([1] * n, 1, 1, k, k)
+    return _walk([1] * n, 1, 1, *_letter_range(n, k))
 
 
 def complete_prefix(prefix: Sequence[int], n: int) -> Iterator[Word]:
@@ -210,6 +233,42 @@ def format_word(word: Sequence[int]) -> str:
         return bytes(word).translate(_DIGITS).decode("ascii")
     except ValueError:
         return ",".join(map(str, word))
+
+
+# The last letters 1-9 of a digit block with their newlines.
+_LAST_DIGITS = [f"{v}\n" for v in range(1, 10)]
+
+
+def _block_lines(word: list[int], first: int, stop: int) -> Iterator[str]:
+    """Newline-terminated text of the words ``word[:-1]`` + (v,) for v in
+    ``first..stop-1``: one chunk when every letter is at most 9, else one
+    chunk per word."""
+    if stop <= 10:
+        try:
+            head = bytes(word[:-1]).translate(_DIGITS).decode("ascii")
+        except ValueError:  # a letter of word[:-1] past 9
+            pass
+        else:
+            yield head + head.join(_LAST_DIGITS[first - 1:stop - 1])
+            return
+    for v in range(first, stop):
+        word[-1] = v
+        yield format_word(word) + "\n"
+
+
+def lines(n: int, k: int | None = None) -> Iterator[str]:
+    """Text of the listing ``iterate_all(n)``, or ``iterate_with_k(n, k)``
+    when ``k`` is given, in chunks of newline-terminated :func:`format_word`
+    lines.  A chunk holds either the digit words that differ only in their
+    last letter, at most nine, or one comma-separated word.  Sizes are
+    checked at call time, with the messages of the tuple generators.
+
+    >>> list(lines(3))
+    ['111\\n112\\n', '121\\n122\\n123\\n']
+    >>> list(lines(3, 3))
+    ['123\\n']
+    """
+    return _walk([1] * n, 1, 1, *_letter_range(n, k), _block_lines)
 
 
 def parse_word(text: str) -> Word:

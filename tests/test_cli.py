@@ -86,24 +86,78 @@ def test_enumerate_one_long_word(capsys):
 
 def _word_text(word):
     """Text form of a word, built apart from setpart.format_word."""
-    return "".join(map(str, word)) if max(word) <= 9 else ",".join(map(str, word))
+    if max(word) <= 9:
+        return "%d" * len(word) % word
+    return ",".join(map(str, word))
+
+
+class _Words(list):
+    """A list that json encodes from a fresh stream of ``texts()`` (json takes
+    no generator), so that a long listing is never held whole."""
+
+    def __init__(self, texts):
+        super().__init__()
+        self._texts = texts
+
+    def __bool__(self):
+        return True
+
+    def __iter__(self):
+        return self._texts()
+
+
+def _write_listing(out, fmt, n, k):
+    """Write the enumerate listing to ``out``, composed by json, csv or plain
+    lines from each word's text, as a reference for the CLI's listing."""
+    def words():
+        return setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
+
+    def texts():
+        return map(_word_text, words())
+
+    if fmt == "plain":
+        out.writelines(w + "\n" for w in texts())
+    elif fmt == "json":
+        envelope = {"command": "enumerate", "params": {"n": n, "k": k},
+                    "result": {"count": sum(1 for _ in words()), "words": _Words(texts)}}
+        json.dump(envelope, out, sort_keys=True, indent=2)
+        out.write("\n")
+    else:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["word"])
+        writer.writerows(zip(texts()))
 
 
 def _listing(fmt, n, k):
-    """The enumerate listing composed whole, as a reference for the streamed one."""
-    words = setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
-    words = [_word_text(w) for w in words]
-    if fmt == "plain":
-        return "".join(w + "\n" for w in words)
-    if fmt == "json":
-        envelope = {"command": "enumerate", "params": {"n": n, "k": k},
-                    "result": {"count": len(words), "words": words}}
-        return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    """The reference listing as one string."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["word"])
-    writer.writerows([w] for w in words)
+    _write_listing(buf, fmt, n, k)
     return buf.getvalue()
+
+
+class _HashSink(io.RawIOBase):
+    """Binary sink that keeps only the sha256 and the size of what it takes."""
+
+    def __init__(self):
+        self.sha, self.size = hashlib.sha256(), 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.sha.update(data)
+        self.size += len(data)
+        return len(data)
+
+
+def _digest(write):
+    """The value of ``write(stream)``, and the size and sha256 of the text it
+    wrote to the text stream."""
+    sink = _HashSink()
+    stream = io.TextIOWrapper(io.BufferedWriter(sink), encoding="ascii", newline="\n")
+    value = write(stream)
+    stream.flush()
+    return value, sink.size, sink.sha.hexdigest()
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
@@ -114,15 +168,23 @@ def _listing(fmt, n, k):
     (8, 4, 5),
     (10, None, None),  # words with a letter 10 print with commas
     (10, 10, 5),  # csv quotes the one word, 1,2,...,10
+    (11, 10, 5),  # comma words only, one per chunk
+    (12, None, None),  # digit words then comma words, within and across last-letter runs
 ])
-def test_enumerate_across_write_chunks(capsys, monkeypatch, fmt, n, k, chars_per_write):
+def test_enumerate_across_write_chunks(monkeypatch, fmt, n, k, chars_per_write):
     if chars_per_write is not None:
         monkeypatch.setattr(cli, "_CHARS_PER_WRITE", chars_per_write)
-    argv = ["--n", str(n), "--format", fmt] + ([] if k is None else ["--k", str(k)])
-    code, out, _ = run_cli(capsys, "enumerate", *argv)
+    argv = ["enumerate", "--n", str(n), "--format", fmt] + ([] if k is None else ["--k", str(k)])
+
+    def run(stream):
+        # the listings of B_12 words make 55-93 MB, so they are hashed as they come
+        monkeypatch.setattr(sys, "stdout", stream)
+        return cli.main(argv)
+
+    code, size, sha = _digest(run)
     assert code == 0
-    assert len(out) > cli._CHARS_PER_WRITE
-    assert out == _listing(fmt, n, k)
+    assert size > cli._CHARS_PER_WRITE
+    assert _digest(lambda stream: _write_listing(stream, fmt, n, k)) == (None, size, sha)
 
 
 @pytest.mark.parametrize("argv, head", [

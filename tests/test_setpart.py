@@ -11,6 +11,7 @@ from seprec.setpart import (
     from_blocks,
     iterate_all,
     iterate_with_k,
+    lines,
     num_blocks,
     parse_word,
     split_by_prefix,
@@ -249,6 +250,37 @@ def test_format_word_matches_reference_on_every_word():
             expected = _word_text(word)
             assert format_word(word) == expected
             assert format_word(list(word)) == expected
+
+
+def _lines_cases():
+    for n in range(1, 11):
+        yield n, None
+        yield from ((n, k) for k in range(1, n + 1))
+    # letters 10 and up print with commas; these listings mix both forms, and
+    # some of their last-letter runs cross from 9 to 10
+    for n in (11, 12):
+        yield from ((n, k) for k in range(9, n + 1))
+
+
+def test_lines_match_format_word_per_word():
+    for n, k in _lines_cases():
+        words = iterate_all(n) if k is None else iterate_with_k(n, k)
+        chunks = list(lines(n, k))
+        assert "".join(chunks) == "".join(format_word(w) + "\n" for w in words), (n, k)
+        for chunk in chunks:
+            assert chunk.endswith("\n")
+            count = chunk.count("\n")
+            assert count <= 9 and ("," not in chunk or count == 1), (n, k, chunk)
+
+
+def test_lines_refuse_bad_sizes_like_the_tuple_generators():
+    for n, k in ((0, None), (MAX_WORD_LENGTH + 1, None), (3, 0), (3, 4), (MAX_WORD_LENGTH + 1, 1)):
+        with pytest.raises(ValueError) as want:
+            iterate_all(n) if k is None else iterate_with_k(n, k)
+        # refused at call time, before any text
+        with pytest.raises(ValueError) as got:
+            lines(n, k)
+        assert str(got.value) == str(want.value)
 
 
 def test_parse_word():
