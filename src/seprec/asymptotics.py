@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import bell, bell_combination
+from .counting import bell
 from .formulas import total_sep_n
 
 MAX_EXACT_N = 1000
@@ -97,7 +97,7 @@ def estimate_ratio(n: int, literal: bool = False) -> AsymptoticReport:
     if not 1 <= n <= MAX_EXACT_N:
         raise ValueError(f"need 1 <= n <= {MAX_EXACT_N} (exact-computation budget), got {n}")
     r = solve_r(n)
-    exact = float(Fraction(total_sep_n(n), bell_combination(n, (1,))))
+    exact = float(Fraction(total_sep_n(n), bell(n)))
     bare = n**3 / (3.0 * r**3)
     if literal:
         bare *= 3.0

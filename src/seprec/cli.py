@@ -121,7 +121,7 @@ def _cmd_enumerate(args, out: _Stdout) -> int:
             else:
                 out.write(chunk)
     else:
-        count = counting.bell_combination(n, (1,)) if k is None else counting.stirling2_single(n, k)
+        count = counting.bell(n) if k is None else counting.stirling2(n, k)
         frame = json.dumps(_envelope(args, {"count": count, "words": ["@", "@"]}), sort_keys=True, indent=2)
         # json's own text around and between two placeholder words; a word holds
         # only digits and commas, so f'"{w}"' is json.dumps(w)

@@ -1,38 +1,27 @@
 """Exact counting kernels: binomials, Stirling numbers of the second kind, Bell numbers.
 
-All values are plain Python integers, so they stay exact at any size.  The
-Stirling and Bell tables are memoized module-level triangles that grow on
-demand.  Growth holds ``_grow_lock`` and re-checks the length under it, so
-threads that grow a table at once append each row exactly once; a row is
-complete before it is appended and never mutated after, so a lookup in a
-table that is already long enough takes no lock.
+All values are plain Python integers, so they stay exact at any size.  Every
+function here is pure: nothing is kept between calls.  A single value far up
+comes from a power sum sum_j weight_j * j^n, evaluated by one
+least-prime-factor sieve (:func:`_power_sum`): :func:`stirling2` sums over
+j <= k, and :func:`bell` and :func:`bell_combination` over j <= n + 3 at
+most (a combination of B_n..B_{n+3} at n = 3000, what
+``formulas.total_sep_n`` reads at its budget, takes about 0.4 s).  A run of
+consecutive values comes from one pass of a recurrence:
+:func:`bell_numbers` gives B_0..B_top from the Bell triangle, and
+:func:`stirling2_column` gives S(0..top, k) from the Stirling recurrence on
+the band m - j <= top - k that the column needs.
 
-Both tables have a size budget.  The Stirling rows up to n hold O(n^3) bits
-(at n = 1000, about 230 MiB, built in 0.4 s); the Bell triangle up to B_3003
-takes about 4 s cold.  Callers that need a few values far up, rather than a
-prefix, compute them without a table: :func:`bell_combination` gives a
-combination of B_n..B_{n+3} at n = 3000 (what ``formulas.total_sep_n`` reads
-at its budget) in about 0.4 s, and :func:`stirling2_single` gives one
-S(n, k).  Both are power sums sum_j weight_j * j^n, evaluated by one
-least-prime-factor sieve (:func:`_power_sum`).
+Each has a size budget: n <= ``MAX_STIRLING_N`` for Stirling numbers and
+n <= ``MAX_BELL_N`` for Bell numbers.
 """
 from __future__ import annotations
 
-import threading
+from itertools import accumulate
 from math import comb, factorial, isqrt
-
-_grow_lock = threading.Lock()
 
 MAX_STIRLING_N = 1000
 MAX_BELL_N = 3003
-
-# Stirling triangle rows: _stirling[n][k] = S(n, k) for 0 <= k <= n.
-_stirling: list[list[int]] = [[1]]
-
-# Bell numbers B_0, B_1, ... and the last computed row of the Bell triangle,
-# kept so the triangle can be extended incrementally.
-_bell: list[int] = [1]
-_bell_row: list[int] = [1]
 
 
 def binomial(n: int, k: int) -> int:
@@ -48,60 +37,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError(f"binomial arguments must be nonnegative, got ({n}, {k})")
     return comb(n, k)
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind S(n, k): partitions of [n] into k blocks.
-
-    Values with k > n, or k = 0 with n > 0, are zero.
-
-    >>> stirling2(3, 3)
-    1
-    >>> stirling2(3, 2)
-    3
-    >>> stirling2(4, 2)
-    7
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"stirling2 arguments must be nonnegative, got ({n}, {k})")
-    if n > MAX_STIRLING_N:
-        raise ValueError(f"need n <= {MAX_STIRLING_N} for S(n, k) (Stirling table budget), got n={n}")
-    if k > n:
-        return 0
-    if len(_stirling) <= n:
-        with _grow_lock:
-            while len(_stirling) <= n:
-                prev = _stirling[-1]
-                m = len(_stirling)
-                # S(m, k) = k*S(m-1, k) + S(m-1, k-1); boundary k=0 and k=m.
-                row = [0]
-                for j in range(1, m):
-                    row.append(j * prev[j] + prev[j - 1])
-                row.append(1)
-                _stirling.append(row)
-    return _stirling[n][k]
-
-
-def bell(n: int) -> int:
-    """Bell number B_n: the number of set partitions of [n], via the Bell triangle.
-
-    >>> [bell(n) for n in range(6)]
-    [1, 1, 2, 5, 15, 52]
-    """
-    if n < 0:
-        raise ValueError(f"bell argument must be nonnegative, got {n}")
-    if n > MAX_BELL_N:
-        raise ValueError(f"need n <= {MAX_BELL_N} for B_n (Bell table budget), got n={n}")
-    global _bell_row
-    if len(_bell) <= n:
-        with _grow_lock:
-            while len(_bell) <= n:
-                row = [_bell_row[-1]]
-                for x in _bell_row:
-                    row.append(row[-1] + x)
-                _bell.append(row[0])
-                _bell_row = row
-    return _bell[n]
 
 
 def _window_weights(top: int):
@@ -164,7 +99,7 @@ def _power_sum(n: int, top: int, weights) -> int:
 
 
 def bell_combination(n: int, coeffs: tuple[int, ...]) -> int:
-    """sum_h coeffs[h] * B_{n+h} from one power sum, without a table.
+    """sum_h coeffs[h] * B_{n+h} from one power sum.
 
     With M = n + len(coeffs) - 1 and D the derangement numbers,
 
@@ -191,21 +126,22 @@ def bell_combination(n: int, coeffs: tuple[int, ...]) -> int:
     return value
 
 
-def stirling2_single(n: int, k: int) -> int:
-    """One Stirling number S(n, k) from the alternating power sum
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind S(n, k): partitions of [n] into k
+    blocks, from the alternating power sum
 
         k! * S(n, k) = sum_{j=0..k} (-1)^(k-j) C(k, j) j^n,
 
-    asserted divisible by k!.  It builds no table, and keeps the budget of
-    :func:`stirling2`.
+    asserted divisible by k!.  Values with k > n, or k = 0 with n > 0, are
+    zero.
 
-    >>> [stirling2_single(4, k) for k in range(6)]
+    >>> [stirling2(4, k) for k in range(6)]
     [0, 1, 7, 6, 1, 0]
     """
     if n < 0 or k < 0:
         raise ValueError(f"stirling2 arguments must be nonnegative, got ({n}, {k})")
     if n > MAX_STIRLING_N:
-        raise ValueError(f"need n <= {MAX_STIRLING_N} for S(n, k) (Stirling table budget), got n={n}")
+        raise ValueError(f"need n <= {MAX_STIRLING_N} for S(n, k) (Stirling number budget), got n={n}")
     if k > n:
         return 0
     signed = ((j, comb(k, j) if (k - j) % 2 == 0 else -comb(k, j)) for j in range(k, -1, -1))
@@ -213,3 +149,63 @@ def stirling2_single(n: int, k: int) -> int:
     if rest:
         raise ArithmeticError(f"power sum for S({n}, {k}) is not divisible by {k}!")
     return value
+
+
+def bell(n: int) -> int:
+    """Bell number B_n: the number of set partitions of [n], as
+    ``bell_combination(n, (1,))``.
+
+    >>> [bell(n) for n in range(6)]
+    [1, 1, 2, 5, 15, 52]
+    """
+    if n < 0:
+        raise ValueError(f"bell argument must be nonnegative, got {n}")
+    if n > MAX_BELL_N:
+        raise ValueError(f"need n <= {MAX_BELL_N} for B_n (Bell number budget), got n={n}")
+    return bell_combination(n, (1,))
+
+
+def bell_numbers(top: int) -> list[int]:
+    """B_0, ..., B_top from one pass of the Bell triangle: each row starts
+    with the last entry of the row above and adds that row's entries one by
+    one, and B_m is the first entry of row m.
+
+    >>> bell_numbers(6)
+    [1, 1, 2, 5, 15, 52, 203]
+    """
+    if top < 0:
+        raise ValueError(f"bell_numbers argument must be nonnegative, got {top}")
+    if top > MAX_BELL_N:
+        raise ValueError(f"need top <= {MAX_BELL_N} for B_0..B_top (Bell number budget), got top={top}")
+    out = [1]
+    row = [1]
+    for _ in range(top):
+        row = list(accumulate(row, initial=row[-1]))
+        out.append(row[0])
+    return out
+
+
+def stirling2_column(k: int, top: int) -> list[int]:
+    """S(0, k), ..., S(top, k) from one pass of the recurrence
+    S(m, j) = j S(m-1, j) + S(m-1, j-1) over j = 1..k.
+
+    Only the entries with m - j <= top - k feed the column, so the pass keeps
+    col[d] = S(j + d, j) for d = 0..top-k, and step j is
+    col[d] += j * col[d - 1]: k passes of length top - k + 1.
+
+    >>> stirling2_column(2, 6)
+    [0, 0, 1, 3, 7, 15, 31]
+    >>> stirling2_column(3, 2)
+    [0, 0, 0]
+    """
+    if k < 0 or top < 0:
+        raise ValueError(f"stirling2_column arguments must be nonnegative, got ({k}, {top})")
+    if top > MAX_STIRLING_N:
+        raise ValueError(f"need top <= {MAX_STIRLING_N} for S(0..top, k) (Stirling number budget), got top={top}")
+    if k > top:
+        return [0] * (top + 1)
+    col = [1] + [0] * (top - k)
+    for j in range(1, k + 1):
+        for d in range(1, len(col)):
+            col[d] += j * col[d - 1]
+    return [0] * k + col

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .counting import bell, bell_combination, stirling2
+from .counting import bell_combination, bell_numbers, stirling2_column
 
 
 def _record_offset_total(k: int) -> int:
@@ -38,7 +38,9 @@ def total_sep_nk(n: int, k: int) -> int:
         S(n,k) * sum_{a=1..k} a(a-1)/2
         + sum_{i=1..k-1} (k-i)i(i+1)/2 * sum_{j=1..n-k} S(n-j,k) i^(j-1)
 
-    Both inner sums are empty when they have no terms (k = 1 or n = k).
+    Both inner sums are empty when they have no terms (k = 1 or n = k).  The
+    Stirling numbers come from one column, S(0..n, k), and the sum over j is
+    taken by Horner's rule.
 
     >>> total_sep_nk(3, 2)
     4
@@ -49,13 +51,12 @@ def total_sep_nk(n: int, k: int) -> int:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    total = stirling2(n, k) * _record_offset_total(k)
+    column = stirling2_column(k, n)
+    total = column[n] * _record_offset_total(k)
     for i in range(1, k):
         geom = 0
-        ipow = 1
-        for j in range(1, n - k + 1):
-            geom += stirling2(n - j, k) * ipow
-            ipow *= i
+        for s in column[k:n]:  # S(n-j, k) for j = n-k down to 1
+            geom = geom * i + s
         total += (k - i) * i * (i + 1) // 2 * geom
     return total
 
@@ -72,8 +73,7 @@ def total_sep_n(n: int) -> int:
         (1/3) B_{n+3} - (1/4) B_{n+2} - (n/2 + 13/12) B_{n+1} - (n/2 + 1/12) B_n
 
     Twelve times it, 4 B_{n+3} - 3 B_{n+2} - (6n+13) B_{n+1} - (6n+1) B_n,
-    comes from one power sum, not from the Bell table, and is asserted
-    divisible by 12.
+    comes from one power sum and is asserted divisible by 12.
 
     >>> [total_sep_n(n) for n in range(1, 5)]
     [0, 1, 8, 50]
@@ -101,8 +101,8 @@ def rational_series_totals(k: int, order: int) -> list[int]:
         + x^(k+1) / ((1-x)...(1-kx)) * sum_{i=1..k-1} (k-i)i(i+1) / (2(1-ix))
 
     as a power series in x, one first-order recurrence per factor
-    1/(1 - ix).  This route uses no Stirling table and no q-polynomials, so it
-    is independent of both :func:`total_sep_nk` and
+    1/(1 - ix).  This route reads no Stirling numbers and no q-polynomials, so
+    it is independent of both :func:`total_sep_nk` and
     :func:`seprec.series.sep_totals_by_length`.
 
     >>> rational_series_totals(2, 4)
@@ -271,18 +271,19 @@ def pfd_golden_lines(max_k: int) -> list[str]:
     return lines
 
 
-def _times_bell_egf(weights: list[int]) -> list[int]:
+def _times_bell_egf(weights: list[int], bells: list[int]) -> list[int]:
     """n! [x^n] E(x) W(x) for n < len(weights), where E = e^(e^x - 1) is the
-    Bell-number exponential series and W = sum_m weights[m] x^m / m!: the
-    binomial convolution sum_j C(n, j) B_j weights[n-j] of a labelled product."""
-    return [sum(comb(n, j) * bell(j) * weights[n - j] for j in range(n + 1))
+    Bell-number exponential series with B_j = bells[j], and
+    W = sum_m weights[m] x^m / m!: the binomial convolution
+    sum_j C(n, j) B_j weights[n-j] of a labelled product."""
+    return [sum(comb(n, j) * bells[j] * weights[n - j] for j in range(n + 1))
             for n in range(len(weights))]
 
 
 def bell_egf(order: int) -> list[Fraction]:
     """Coefficients of the Bell-number exponential generating series
     e^(e^x - 1): B_n / n! for n = 0..order."""
-    return [Fraction(bell(n), factorial(n)) for n in range(order + 1)]
+    return [Fraction(b, factorial(n)) for n, b in enumerate(bell_numbers(order))]
 
 
 # egf_coeffs(400) takes 0.4 s cold: about order^2/2 products of a binomial,
@@ -308,7 +309,8 @@ def egf_coeffs(order: int) -> list[Fraction]:
         raise ValueError(f"need 0 <= order <= {MAX_EGF_ORDER}, got {order}")
     weights = [4 * 3**m - 3 * m * 2**m + 9 * 2**m - 12 * m - 12 for m in range(order + 1)]
     weights[0] -= 1
-    return [Fraction(c, 12 * factorial(n)) for n, c in enumerate(_times_bell_egf(weights))]
+    totals = _times_bell_egf(weights, bell_numbers(order))
+    return [Fraction(c, 12 * factorial(n)) for n, c in enumerate(totals)]
 
 
 def bell_shift_identities_check(order: int) -> dict[str, bool]:
@@ -328,26 +330,27 @@ def bell_shift_identities_check(order: int) -> dict[str, bool]:
     if order < 1:
         raise ValueError(f"need order >= 1, got {order}")
     ns = range(order + 1)
+    b = bell_numbers(order + 3)
     checks = {
         "exp_x": (
-            _times_bell_egf([1] * (order + 1)),
-            [bell(n + 1) for n in ns],
+            _times_bell_egf([1] * (order + 1), b),
+            [b[n + 1] for n in ns],
         ),
         "exp_2x": (
-            _times_bell_egf([2**m for m in ns]),
-            [bell(n + 2) - bell(n + 1) for n in ns],
+            _times_bell_egf([2**m for m in ns], b),
+            [b[n + 2] - b[n + 1] for n in ns],
         ),
         "exp_3x": (
-            _times_bell_egf([3**m for m in ns]),
-            [bell(n + 3) - 3 * bell(n + 2) + 2 * bell(n + 1) for n in ns],
+            _times_bell_egf([3**m for m in ns], b),
+            [b[n + 3] - 3 * b[n + 2] + 2 * b[n + 1] for n in ns],
         ),
         "x_exp_x": (
-            _times_bell_egf(list(ns)),
-            [n * bell(n) for n in ns],
+            _times_bell_egf(list(ns), b),
+            [n * b[n] for n in ns],
         ),
         "x_exp_2x": (
-            _times_bell_egf([m * 2**m // 2 for m in ns]),
-            [n * (bell(n + 1) - bell(n)) for n in ns],
+            _times_bell_egf([m * 2**m // 2 for m in ns], b),
+            [n * (b[n + 1] - b[n]) for n in ns],
         ),
     }
     return {name: got == want for name, (got, want) in checks.items()}

@@ -242,15 +242,15 @@ _LAST_DIGITS = [f"{v}\n" for v in range(1, 10)]
 def _block_lines(word: list[int], first: int, stop: int) -> Iterator[str]:
     """Newline-terminated text of the words ``word[:-1]`` + (v,) for v in
     ``first..stop-1``: one chunk when every letter is at most 9, else one
-    chunk per word."""
+    chunk per word.
+
+    Every run that ``_walk`` hands over for :func:`lines` has
+    stop >= max(word[:-1]) + 1, so stop <= 10 means the head holds only
+    digits."""
     if stop <= 10:
-        try:
-            head = bytes(word[:-1]).translate(_DIGITS).decode("ascii")
-        except ValueError:  # a letter of word[:-1] past 9
-            pass
-        else:
-            yield head + head.join(_LAST_DIGITS[first - 1:stop - 1])
-            return
+        head = bytes(word[:-1]).translate(_DIGITS).decode("ascii")
+        yield head + head.join(_LAST_DIGITS[first - 1:stop - 1])
+        return
     for v in range(first, stop):
         word[-1] = v
         yield format_word(word) + "\n"

@@ -60,12 +60,10 @@ def test_enumerate_listing_budget_counts_the_words_listed(capsys):
     assert json.loads(out)["result"]["words"] == [",".join(map(str, range(1, 21)))]
 
 
-def test_enumerate_json_count_builds_no_stirling_table(capsys, monkeypatch):
-    monkeypatch.setattr(counting, "_stirling", [[1]])
+def test_enumerate_json_count_builds_no_stirling_table(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "1000", "--k", "1000", "--format", "json")
     assert code == 0
     assert json.loads(out)["result"]["count"] == 1
-    assert counting._stirling == [[1]]
     code, out, err = run_cli(capsys, "enumerate", "--n", str(counting.MAX_STIRLING_N + 1), "--k", "2",
                              "--format", "json")
     assert (code, out) == (2, "")
@@ -187,6 +185,20 @@ def test_enumerate_across_write_chunks(monkeypatch, fmt, n, k, chars_per_write):
     assert _digest(lambda stream: _write_listing(stream, fmt, n, k)) == (None, size, sha)
 
 
+# Runs the CLI in a child that prints its peak RSS in KiB to stderr after the
+# command's own output.  The peak is VmHWM, which exec resets; ru_maxrss would
+# carry over the peak of the pytest process that started the child.
+_MEASURED_CLI = ("import sys\nfrom seprec import cli\ncode = cli.main(sys.argv[1:])\n"
+                 "with open('/proc/self/status') as status:\n"
+                 "    peak = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+                 "print(peak, file=sys.stderr)\nsys.exit(code)\n")
+
+
+def _start_measured_cli(*argv):
+    return subprocess.Popen([sys.executable, "-c", _MEASURED_CLI, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
 @pytest.mark.parametrize("argv, head", [
     # each word of length 200,000 makes a 200 KB line; plain output must write
     # the first one at once, not gather many lines before a write
@@ -198,17 +210,26 @@ def test_enumerate_across_write_chunks(monkeypatch, fmt, n, k, chars_per_write):
     (("--n", "2100", "--format", "json"), [b"{\n", b'  "command": "enumerate",\n']),
 ], ids=["plain_long_words", "json", "csv", "json_past_the_int_digit_limit"])
 def test_enumerate_streams(argv, head):
-    script = ("import resource, sys\nfrom seprec import cli\ncode = cli.main(sys.argv[1:])\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-              "sys.exit(code)\n")
-    proc = subprocess.Popen([sys.executable, "-c", script, "enumerate", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = _start_measured_cli("enumerate", *argv)
     try:
         assert [proc.stdout.readline(), proc.stdout.readline()] == head
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
         assert int(err) < 100 * 1024  # peak RSS in KiB
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+@pytest.mark.parametrize("k", [2, 500])
+def test_total_by_k_at_the_stirling_budget_stays_small(k):
+    proc = _start_measured_cli("total", "--n", str(counting.MAX_STIRLING_N), "--k", str(k))
+    try:
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert out.endswith(b"\n") and out[:-1].isdigit()
+        assert int(err) < 64 * 1024  # peak RSS in KiB
     finally:
         proc.kill()
         proc.wait()
@@ -607,7 +628,7 @@ FAULTS = {
                      lambda f: lambda k, a, order, literal=False: f(k, a, order, literal=not literal)),
     "pfd": (formulas, "pfd_coeffs", lambda f: lambda k, literal=False: f(k, literal=not literal)),
     "egf": (formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),
-    "integrality": (counting, "bell", lambda f: lambda n: f(n) + 1),
+    "integrality": (counting, "bell_numbers", lambda f: lambda top: [b + 1 for b in f(top)]),
     "rowsum": (formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),
 }
 

@@ -1,12 +1,10 @@
-import sys
-import threading
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from seprec import counting
-from seprec.counting import bell, bell_combination, binomial, stirling2, stirling2_single
+from seprec.counting import bell, bell_combination, bell_numbers, binomial, stirling2, stirling2_column
 
 
 def stirling2_explicit(n: int, k: int) -> int:
@@ -25,6 +23,27 @@ def bell_binomial_recurrence(nmax: int) -> list[int]:
     for n in range(nmax):
         out.append(sum(comb(n, k) * out[k] for k in range(n + 1)))
     return out
+
+
+def bell_triangle(top: int) -> list[int]:
+    """Independent route: B_0..B_top as the first entries of the Bell triangle rows."""
+    out, row = [1], [1]
+    for _ in range(top):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        out.append(nxt[0])
+        row = nxt
+    return out
+
+
+def stirling_triangle(top: int) -> list[list[int]]:
+    """Independent route: rows[n][k] = S(n, k) for 0 <= k <= n <= top, row by row."""
+    rows = [[1]]
+    for m in range(1, top + 1):
+        prev = rows[-1]
+        rows.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, m)] + [1])
+    return rows
 
 
 def test_binomial_values():
@@ -93,14 +112,15 @@ def _unit(h: int, length: int) -> tuple[int, ...]:
 
 
 def test_bell_combination_of_unit_rows_equals_the_triangle():
+    bells = bell_triangle(1003)
     # n = 0 included: there the j = 0 term is 0^0 = 1
     for n in range(61):
         for length in range(1, 5):
             for h in range(length):
-                assert bell_combination(n, _unit(h, length)) == bell(n + h), (n, h, length)
+                assert bell_combination(n, _unit(h, length)) == bells[n + h], (n, h, length)
     for n in (300, 1000):
         for h in range(4):
-            assert bell_combination(n, _unit(h, 4)) == bell(n + h), (n, h)
+            assert bell_combination(n, _unit(h, 4)) == bells[n + h], (n, h)
 
 
 def test_bell_combination_argument_guards():
@@ -115,6 +135,7 @@ def test_bell_combination_argument_guards():
 
 
 def test_bell_combination_refuses_a_wrong_derangement_number(monkeypatch):
+    bells = bell_triangle(203)
     weights = counting._window_weights
     cases = [(n, j) for n in (5, 30) for j in range(n + 4)] + [(200, j) for j in (0, 1, 2, 101, 203)]
     for n, wrong in cases:
@@ -128,27 +149,56 @@ def test_bell_combination_refuses_a_wrong_derangement_number(monkeypatch):
         for h in range(4):
             if wrong == 0:
                 # the j = 0 term is 0^m = 0 for m >= 1: the sum is still right
-                assert bell_combination(n, _unit(h, 4)) == bell(n + h), (n, h)
+                assert bell_combination(n, _unit(h, 4)) == bells[n + h], (n, h)
             else:
                 with pytest.raises(ArithmeticError, match="not divisible"):
                     bell_combination(n, _unit(h, 4))
     monkeypatch.undo()
-    assert bell_combination(5, _unit(3, 4)) == bell(8)
+    assert bell_combination(5, _unit(3, 4)) == bells[8]
 
 
 def test_single_stirling_number_equals_the_table():
+    rows = stirling_triangle(60)
     for n in range(61):
         for k in range(n + 2):
-            assert stirling2_single(n, k) == stirling2(n, k), (n, k)
+            assert stirling2(n, k) == (rows[n][k] if k <= n else 0), (n, k)
 
 
 def test_single_stirling_number_keeps_the_table_budget():
+    top = counting.MAX_STIRLING_N
+    assert stirling2(top, 2) == 2 ** (top - 1) - 1
+    assert stirling2(top, top - 1) == comb(top, 2)
     with pytest.raises(ValueError):
-        stirling2_single(-1, 1)
+        stirling2(-1, 1)
     with pytest.raises(ValueError):
-        stirling2_single(1, -1)
+        stirling2(1, -1)
     with pytest.raises(ValueError, match="budget"):
-        stirling2_single(counting.MAX_STIRLING_N + 1, 1)
+        stirling2(top + 1, 1)
+
+
+def test_stirling_column_equals_the_table():
+    rows = stirling_triangle(80)
+    for k in range(61):
+        for top in range(81):
+            want = [rows[m][k] if k <= m else 0 for m in range(top + 1)]
+            assert stirling2_column(k, top) == want, (k, top)
+
+
+def test_bell_numbers_equal_the_triangle():
+    assert bell_numbers(300) == bell_triangle(300)
+    assert bell_numbers(0) == [1]
+
+
+def test_runs_of_values_refuse_negatives_and_rows_past_their_budget():
+    for bad in ((-1, 5), (2, -1)):
+        with pytest.raises(ValueError):
+            stirling2_column(*bad)
+    with pytest.raises(ValueError):
+        bell_numbers(-1)
+    with pytest.raises(ValueError, match="budget"):
+        stirling2_column(2, counting.MAX_STIRLING_N + 1)
+    with pytest.raises(ValueError, match="budget"):
+        bell_numbers(counting.MAX_BELL_N + 1)
 
 
 def test_bell_equals_binomial_recurrence():
@@ -167,33 +217,3 @@ def test_bell_count_matches_enumeration():
 
     for n in range(1, 8):
         assert bell(n) == sum(1 for _ in iterate_all(n))
-
-
-def test_tables_grown_by_several_threads_at_once(monkeypatch):
-    want = (stirling2(300, 7), bell(300))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(20):
-            monkeypatch.setattr(counting, "_stirling", [[1]])
-            monkeypatch.setattr(counting, "_bell", [1])
-            monkeypatch.setattr(counting, "_bell_row", [1])
-            results, errors = [], []
-
-            def grow():
-                try:
-                    results.append((stirling2(300, 7), bell(300)))
-                except Exception as exc:  # reported by the assert below
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=grow) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert errors == [] and results == [want] * 4
-            assert [len(row) for row in counting._stirling] == list(range(1, 302))
-            assert len(counting._bell) == 301
-    finally:
-        sys.setswitchinterval(interval)

@@ -3,8 +3,8 @@ from math import factorial
 
 import pytest
 
-from seprec import asymptotics, counting, formulas
-from seprec.counting import bell
+from seprec import formulas
+from seprec.counting import bell, bell_numbers
 from seprec.formulas import (
     MAX_BELL_TOTAL_N,
     PfdCoefficients,
@@ -91,17 +91,10 @@ def test_total_n_at_its_budget_matches_bell_residues():
         assert 12 * total % p == want % p, p
 
 
-def test_total_n_and_estimate_ratio_build_no_bell_table(monkeypatch):
-    monkeypatch.setattr(counting, "_bell", [1])
-    monkeypatch.setattr(counting, "_bell_row", [1])
-    total_sep_n(500)
-    asymptotics.estimate_ratio(400)
-    assert counting._bell == [1] and counting._bell_row == [1]
-
-
 def test_total_n_equals_the_fraction_combination_of_bell_numbers():
+    bells = bell_numbers(303)
     for n in range(1, 301):
-        b0, b1, b2, b3 = (bell(n + h) for h in range(4))
+        b0, b1, b2, b3 = bells[n:n + 4]
         want = (Fraction(b3, 3) - Fraction(b2, 4)
                 - (Fraction(n, 2) + Fraction(13, 12)) * b1 - (Fraction(n, 2) + Fraction(1, 12)) * b0)
         assert want == total_sep_n(n), n
@@ -255,7 +248,8 @@ def test_bell_shift_identities_hold():
 
 
 def test_bell_shift_identities_fail_on_one_wrong_bell_number(monkeypatch):
-    monkeypatch.setattr(formulas, "bell", lambda n: bell(n) + (n == 10))
+    monkeypatch.setattr(formulas, "bell_numbers",
+                        lambda top: [b + (n == 10) for n, b in enumerate(bell_numbers(top))])
     assert bell_shift_identities_check(30) == dict.fromkeys(
         ["exp_x", "exp_2x", "exp_3x", "x_exp_x", "x_exp_2x"], False)
 
