@@ -11,9 +11,10 @@ estimate
     total ~ B_n * n^3 / (3 r^3) * (1 + r/n).
 
 Everything exact is computed exactly first: the only float operations are the
-root solve and the final division of two modest-sized numbers.  In particular
-a Bell number is never converted to float on its own; only fully reduced
-ratios like total/B_n (of size ~ n^3/r^3) are.
+root solve and the final division of two modest-sized numbers.  A Bell number
+is never converted to float on its own; ratios like total/B_n (of size
+~ n^3/r^3) are int true divisions, which CPython rounds correctly for ints
+of any size, so they equal ``float(Fraction(p, q))`` to the last bit.
 
 A widely quoted variant of the estimate omits the 1/3; it is available as
 ``literal=True`` and demonstrably does not converge (the measured ratio tends
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .counting import bell
 from .formulas import total_sep_n
@@ -84,8 +84,8 @@ class AsymptoticReport:
 
 
 def estimate_ratio(n: int, literal: bool = False) -> AsymptoticReport:
-    """Measure the asymptotic estimate at ``n``: exact total/B_n (reduced as a
-    rational before any float conversion) divided by the estimate.
+    """Measure the asymptotic estimate at ``n``: exact total/B_n (one correctly
+    rounded int division) divided by the estimate.
 
     ``literal=True`` drops the 1/3 from the estimate (the non-validated
     variant); the default is the form consistent with the Bell-number closed
@@ -97,7 +97,7 @@ def estimate_ratio(n: int, literal: bool = False) -> AsymptoticReport:
     if not 1 <= n <= MAX_EXACT_N:
         raise ValueError(f"need 1 <= n <= {MAX_EXACT_N} (exact-computation budget), got {n}")
     r = solve_r(n)
-    exact = float(Fraction(total_sep_n(n), bell(n)))
+    exact = total_sep_n(n) / bell(n)
     bare = n**3 / (3.0 * r**3)
     if literal:
         bare *= 3.0
@@ -117,7 +117,7 @@ def estimate_ratio(n: int, literal: bool = False) -> AsymptoticReport:
 def bell_shift_error(n: int, h: int) -> float:
     """Relative error of the shift approximation
     B_{n+h} ~ B_n * (n+h)!/(n! * r^h), measured as |approx/exact - 1| with the
-    exact ratio B_{n+h}/B_n reduced in rationals first.
+    exact ratio B_{n+h}/B_n taken by correctly rounded int division.
 
     >>> bell_shift_error(400, 1) < bell_shift_error(100, 1)
     True
@@ -131,7 +131,7 @@ def bell_shift_error(n: int, h: int) -> float:
     for i in range(1, h + 1):
         rising *= n + i
     approx = rising / r**h
-    exact = float(Fraction(bell(n + h), bell(n)))
+    exact = bell(n + h) / bell(n)
     return abs(approx / exact - 1.0)
 
 

@@ -14,14 +14,16 @@ once; :func:`egf_coeffs` reproduces it through the exponential generating
 series.  The partial fraction table has both a closed form
 (:func:`pfd_coeffs`) and an exact residue oracle (:func:`pfd_oracle`).
 
-All rational arithmetic uses ``fractions.Fraction``; nothing here touches
-floating point.
+Nothing here touches floating point.  Tables and series are computed in
+integers, with one ``fractions.Fraction`` per rational coefficient over a
+denominator known in advance; only the probe evaluations
+(:func:`pfd_target_value`, :func:`pfd_value`) sum Fractions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .counting import bell_combination, bell_numbers, stirling2_column
 
@@ -179,9 +181,11 @@ MAX_PFD_K = 1600
 def pfd_coeffs(k: int, literal: bool = False) -> PfdCoefficients:
     """Closed-form partial fraction coefficients for block count ``k``:
 
-        a_{k,m} = (-1)^(k-m) (k-m) m (m+1) / (2 (m-1)! (k-m)!)
-        b_{k,m} = (-1)^(k-m) (-k^3/12 - k^2(m+1)/4 + k(6m^2+21m+10)/12
-                   - 3m^2/2 - m + sum_{i=1..k} i(i-1)/2) / ((m-1)! (k-m)!)
+        a_{k,m} = (k-m) m (m+1) / (2 D)
+        b_{k,m} = (-k^3 - 3k^2(m+1) + k(6m^2+21m+10) - 18m^2 - 12m
+                   + 12 sum_{i=1..k} i(i-1)/2) / (12 D)
+
+    with D = (-1)^(k-m) (m-1)! (k-m)!, one Fraction per coefficient.
 
     ``literal=True`` flips the cubic term to +k^3/12, a variant that fails the
     residue oracle for every k and is kept only for comparison (see the README
@@ -194,28 +198,20 @@ def pfd_coeffs(k: int, literal: bool = False) -> PfdCoefficients:
     """
     if not 1 <= k <= MAX_PFD_K:
         raise ValueError(f"need 1 <= k <= {MAX_PFD_K}, got {k}")
-    cubic_sign = 1 if literal else -1
-    offset = _record_offset_total(k)
-    a_row = []
-    b_row = []
+    k_terms = (k**3 if literal else -(k**3)) + 12 * _record_offset_total(k)
+    a_row, b_row = [], []
     for m in range(1, k + 1):
-        sign = -1 if (k - m) % 2 else 1
-        denom = factorial(m - 1) * factorial(k - m)
-        a_row.append(Fraction(sign * (k - m) * m * (m + 1), 2 * denom))
-        numer = (
-            Fraction(cubic_sign * k**3, 12)
-            - Fraction(k**2 * (m + 1), 4)
-            + Fraction(k * (6 * m * m + 21 * m + 10), 12)
-            - Fraction(3 * m * m, 2)
-            - m
-            + offset
-        )
-        b_row.append(Fraction(sign, denom) * numer)
+        denom = (-1) ** (k - m) * factorial(m - 1) * factorial(k - m)
+        a_row.append(Fraction((k - m) * m * (m + 1), 2 * denom))
+        b_numer = k_terms - 3 * k * k * (m + 1) + k * (6 * m * m + 21 * m + 10) - 18 * m * m - 12 * m
+        b_row.append(Fraction(b_numer, 12 * denom))
     return PfdCoefficients(k, tuple(a_row), tuple(b_row))
 
 
-# pfd_oracle(400) takes 1.8 s, growing about as k^3.
-MAX_PFD_ORACLE_K = 400
+# pfd_oracle(800) takes about 0.8 s: k^2 residue terms, each a multiple of
+# lcm(1..k-1) ~ e^k, so the cost grows about 5x per doubling of k
+# (pfd_oracle(1600) takes 3.9 s).
+MAX_PFD_ORACLE_K = 800
 
 
 def pfd_oracle(k: int) -> PfdCoefficients:
@@ -232,28 +228,30 @@ def pfd_oracle(k: int) -> PfdCoefficients:
     pole because the i = m summand contributes the constant (k-m)m(m+1)/2,
     and B(y) = prod_{i != m} (y-i).
 
+    Both residue sums are taken in integers scaled by L = lcm(1..k-1), as
+    L/(m-i) is exact: b_{k,m} = (L A'(m) - A(m) L B'(m)/B(m)) / (L B(m)).
+
     >>> pfd_oracle(2) == pfd_coeffs(2)
     True
     """
     if not 1 <= k <= MAX_PFD_ORACLE_K:
         raise ValueError(f"need 1 <= k <= {MAX_PFD_ORACLE_K}, got {k}")
-    offset = _record_offset_total(k)
-    a_row = []
-    b_row = []
+    scale = lcm(*range(1, k))  # lcm() of nothing is 1
+    a_row, b_row = [], []
     for m in range(1, k + 1):
-        a_at_m = Fraction((k - m) * m * (m + 1), 2)
-        # A'(m) = offset + sum_{i != m} (k-i)i(i+1)/(2(m-i))
-        a_deriv = Fraction(offset)
-        b_at_m = Fraction(1)
-        b_log_deriv = Fraction(0)  # B'(m)/B(m) = sum_{i != m} 1/(m-i)
+        a_at_m = (k - m) * m * (m + 1) // 2
+        a_deriv = scale * _record_offset_total(k)  # L A'(m)
+        b_at_m = 1
+        b_log_deriv = 0  # L B'(m)/B(m)
         for i in range(1, k + 1):
             if i == m:
                 continue
-            a_deriv += Fraction((k - i) * i * (i + 1), 2 * (m - i))
+            share = scale // (m - i)
+            a_deriv += (k - i) * i * (i + 1) // 2 * share
             b_at_m *= m - i
-            b_log_deriv += Fraction(1, m - i)
-        a_row.append(a_at_m / b_at_m)
-        b_row.append(a_deriv / b_at_m - a_at_m * b_log_deriv / b_at_m)
+            b_log_deriv += share
+        a_row.append(Fraction(a_at_m, b_at_m))
+        b_row.append(Fraction(a_deriv - a_at_m * b_log_deriv, scale * b_at_m))
     return PfdCoefficients(k, tuple(a_row), tuple(b_row))
 
 

@@ -89,6 +89,44 @@ def _word_text(word):
     return ",".join(map(str, word))
 
 
+def _grown(text, top):
+    """Each canonical word one letter longer, as (text, largest letter), given
+    a word's text and largest letter: the letters 1..top+1 in order.  The text
+    takes commas once a letter passes 9."""
+    for a in range(1, top + 2):
+        if top > 9:
+            yield text + ",%d" % a, max(top, a)
+        elif a > 9:
+            yield ",".join(text) + ",%d" % a, a
+        else:
+            yield text + "%d" % a, max(top, a)
+
+
+def _grown_texts(text, top):
+    """The texts alone of the words that ``_grown`` yields."""
+    if top < 9:  # no letter passes 9
+        return [text + digit for digit in "123456789"[:top + 1]]
+    return [longer for longer, _ in _grown(text, top)]
+
+
+def _canonical_words(n):
+    """Functions that count the canonical words of length n >= 2 and stream
+    their texts in lexicographic order, built apart from setpart: the
+    (text, largest letter) pairs of length n - 2 are kept, and the last two
+    letters are streamed."""
+    pairs = [("", 0)]
+    for _ in range(n - 2):
+        pairs = [longer for pair in pairs for longer in _grown(*pair)]
+
+    def count():
+        return sum(top + 1 for pair in pairs for _, top in _grown(*pair))
+
+    def texts():
+        return (text for pair in pairs for longer in _grown(*pair) for text in _grown_texts(*longer))
+
+    return count, texts
+
+
 class _Words(list):
     """A list that json encodes from a fresh stream of ``texts()`` (json takes
     no generator), so that a long listing is never held whole."""
@@ -107,17 +145,20 @@ class _Words(list):
 def _write_listing(out, fmt, n, k):
     """Write the enumerate listing to ``out``, composed by json, csv or plain
     lines from each word's text, as a reference for the CLI's listing."""
-    def words():
-        return setpart.iterate_all(n) if k is None else setpart.iterate_with_k(n, k)
+    if k is None:
+        count, texts = _canonical_words(n)
+    else:
+        def count():
+            return sum(1 for _ in setpart.iterate_with_k(n, k))
 
-    def texts():
-        return map(_word_text, words())
+        def texts():
+            return map(_word_text, setpart.iterate_with_k(n, k))
 
     if fmt == "plain":
         out.writelines(w + "\n" for w in texts())
     elif fmt == "json":
         envelope = {"command": "enumerate", "params": {"n": n, "k": k},
-                    "result": {"count": sum(1 for _ in words()), "words": _Words(texts)}}
+                    "result": {"count": count(), "words": _Words(texts)}}
         json.dump(envelope, out, sort_keys=True, indent=2)
         out.write("\n")
     else:

@@ -4,9 +4,11 @@ from math import factorial
 import pytest
 
 from seprec import formulas
-from seprec.counting import bell, bell_numbers
+from seprec.counting import MAX_STIRLING_N, bell, bell_numbers
 from seprec.formulas import (
     MAX_BELL_TOTAL_N,
+    MAX_EGF_ORDER,
+    MAX_PFD_ORACLE_K,
     PfdCoefficients,
     bell_egf,
     bell_shift_identities_check,
@@ -135,6 +137,12 @@ def test_rational_series_totals_to_order_100(k):
     assert all(got[n] == total_sep_nk(n, k) for n in range(k, 101))
 
 
+@pytest.mark.parametrize("k", [2, 300, 500, MAX_STIRLING_N - 1])
+def test_total_nk_matches_rational_series_at_its_budget(k):
+    n = MAX_STIRLING_N
+    assert total_sep_nk(n, k) == rational_series_totals(k, n)[n]
+
+
 def test_three_formula_routes_agree():
     for n in range(1, 10):
         for k in range(1, n + 1):
@@ -172,6 +180,11 @@ def test_pfd_double_pole_coefficient_vanishes_at_m_equals_k():
 def test_pfd_closed_form_matches_residue_oracle():
     for k in range(1, 16):
         assert pfd_coeffs(k) == pfd_oracle(k)
+
+
+@pytest.mark.parametrize("k", [400, MAX_PFD_ORACLE_K])
+def test_pfd_closed_form_matches_residue_oracle_at_its_budget(k):
+    assert pfd_coeffs(k) == pfd_oracle(k)
 
 
 def test_pfd_closed_form_matches_sympy_apart():
@@ -241,6 +254,14 @@ def test_egf_reproduces_totals():
         value = coeffs[n] * factorial(n)
         assert value.denominator == 1
         assert value.numerator == total_sep_n(n)
+
+
+def test_egf_at_its_budget_matches_the_bell_combination():
+    order = MAX_EGF_ORDER
+    b = bell_numbers(order + 3)
+    for n, c in enumerate(egf_coeffs(order)):
+        want = 4 * b[n + 3] - 3 * b[n + 2] - (6 * n + 13) * b[n + 1] - (6 * n + 1) * b[n]
+        assert 12 * factorial(n) * c == want
 
 
 def test_bell_shift_identities_hold():
