@@ -15,9 +15,7 @@ letter, or one comma word) as they are in plain, inside the same json
 envelope, or as csv rows, which quote only the comma words.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
-closed by its reader (as a shell reports for ``yes | head -1``).  The worker
-count for verification sweeps comes from the SEPREC_WORKERS environment
-variable (default 1).
+closed by its reader (as a shell reports for ``yes | head -1``).
 """
 from __future__ import annotations
 
@@ -90,17 +88,6 @@ def _render(args, out: _Stdout, result, header, rows, lines) -> None:
     else:
         for line in lines:
             out.write(line + "\n")
-
-
-def _workers() -> int:
-    value = os.environ.get("SEPREC_WORKERS", "1")
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ValueError(f"SEPREC_WORKERS must be an integer, got {value!r}") from None
-    if workers < 1:
-        raise ValueError(f"SEPREC_WORKERS must be >= 1, got {workers}")
-    return workers
 
 
 # ---------------------------------------------------------------- enumerate
@@ -272,18 +259,19 @@ def _cmd_verify(args, out: _Stdout) -> int:
     max_n = args.max_n
     if not 1 <= max_n <= oracle.MAX_TOTAL_N:
         raise ValueError(f"need 1 <= --max-n <= {oracle.MAX_TOTAL_N}, got {max_n}")
-    if args.suites:
+    if args.suites is None:
+        names = list(_SUITES)
+    else:
         names = [s.strip() for s in args.suites.split(",") if s.strip()]
+        if not names:
+            raise ValueError("no suites requested")
         unknown = sorted(set(names) - set(_SUITES))
         if unknown:
             raise ValueError(f"unknown suites: {', '.join(unknown)}")
-    else:
-        names = list(_SUITES)
     args.suites = ",".join(names)
-    workers = _workers()
     results = []
     for name in names:
-        ok, detail = _SUITES[name](max_n, workers)
+        ok, detail = _SUITES[name](max_n)
         results.append({"name": name, "ok": ok, "detail": detail})
     failed = [r for r in results if not r["ok"]]
     lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results]

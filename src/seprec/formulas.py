@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .counting import bell_combination, bell_numbers, stirling2_column
+from .counting import MAX_STIRLING_N, bell_combination, bell_numbers, stirling2_column
 
 
 def _record_offset_total(k: int) -> int:
@@ -105,13 +105,14 @@ def rational_series_totals(k: int, order: int) -> list[int]:
     as a power series in x, one first-order recurrence per factor
     1/(1 - ix).  This route reads no Stirling numbers and no q-polynomials, so
     it is independent of both :func:`total_sep_nk` and
-    :func:`seprec.series.sep_totals_by_length`.
+    :func:`seprec.series.sep_totals_by_length`.  ``order`` keeps the budget of
+    :func:`total_sep_nk`, which this route checks: ``MAX_STIRLING_N``.
 
     >>> rational_series_totals(2, 4)
     [0, 0, 1, 4, 11]
     """
-    if not 1 <= k <= order:
-        raise ValueError(f"need 1 <= k <= order, got k={k}, order={order}")
+    if not 1 <= k <= order <= MAX_STIRLING_N:
+        raise ValueError(f"need 1 <= k <= order <= {MAX_STIRLING_N}, got k={k}, order={order}")
     # base[m] is the coefficient of x^(k+m) in x^k / ((1-x)...(1-kx))
     base = [1] + [0] * (order - k)
     for i in range(1, k + 1):
@@ -323,10 +324,11 @@ def bell_shift_identities_check(order: int) -> dict[str, bool]:
 
     (each right-hand side divided by n!), compared as the integers n! [x^n]:
     m! [x^m] of e^(hx) is h^m, and of x e^(hx) it is m h^(m-1).  Returns
-    {identity name: bool}.
+    {identity name: bool}.  Its five binomial convolutions are the work of
+    :func:`egf_coeffs`, so ``order`` keeps that budget, ``MAX_EGF_ORDER``.
     """
-    if order < 1:
-        raise ValueError(f"need order >= 1, got {order}")
+    if not 1 <= order <= MAX_EGF_ORDER:
+        raise ValueError(f"need 1 <= order <= {MAX_EGF_ORDER}, got {order}")
     ns = range(order + 1)
     b = bell_numbers(order + 3)
     checks = {

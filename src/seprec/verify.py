@@ -1,7 +1,7 @@
 """Verification suites: every closed form against an independent route.
 
-Each suite takes ``(max_n, workers)`` and returns ``(ok, detail)``; the
-detail is one line naming the range checked, or the first disagreement.
+Each suite takes ``max_n`` and returns ``(ok, detail)``; the detail is one
+line naming the range checked, or the first disagreement.
 ``SUITES`` maps the suite names to the suites in the order ``seprec verify``
 runs them:
 
@@ -22,9 +22,9 @@ runs them:
 * ``integrality``  the Bell combination of the totals is divisible by 12, n <= 200;
 * ``rowsum``       the per-k totals sum to the Bell-number total, n <= 40.
 
-The fixed-range suites ignore ``max_n``.  ``workers`` is passed to the
-enumeration oracle only.  Dependencies are called through their modules, so
-patching a module attribute reaches the suites.
+The fixed-range suites ignore ``max_n``.  ``totals`` and ``bell_total`` run
+the oracle's census in this process.  Dependencies are called through their
+modules, so patching a module attribute reaches the suites.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from math import factorial
 from . import counting, formulas, oracle, series, setpart, stats
 
 
-def counts(max_n: int, workers: int) -> tuple[bool, str]:
+def counts(max_n: int) -> tuple[bool, str]:
     cells = 0
     for n in range(1, max_n + 1):
         if sum(1 for _ in setpart.iterate_all(n)) != counting.bell(n):
@@ -46,7 +46,7 @@ def counts(max_n: int, workers: int) -> tuple[bool, str]:
     return True, f"stream counts match Bell and Stirling numbers on {cells} cells (n <= {max_n})"
 
 
-def roundtrip(max_n: int, workers: int) -> tuple[bool, str]:
+def roundtrip(max_n: int) -> tuple[bool, str]:
     top = min(max_n, 9)
     total = 0
     for n in range(1, top + 1):
@@ -57,7 +57,7 @@ def roundtrip(max_n: int, workers: int) -> tuple[bool, str]:
     return True, f"block round trip exact on {total} words (n <= {top})"
 
 
-def stats_dual(max_n: int, workers: int) -> tuple[bool, str]:
+def stats_dual(max_n: int) -> tuple[bool, str]:
     top = min(max_n, 9)
     total = 0
     for n in range(1, top + 1):
@@ -71,10 +71,10 @@ def stats_dual(max_n: int, workers: int) -> tuple[bool, str]:
     return True, f"sep dual formula and record structure hold on {total} words (n <= {top})"
 
 
-def totals(max_n: int, workers: int) -> tuple[bool, str]:
+def totals(max_n: int) -> tuple[bool, str]:
     cells = 0
     for n in range(1, max_n + 1):
-        brute = oracle.brute_totals_by_k(n, workers=workers)
+        brute = oracle.brute_totals_by_k(n)
         for k in range(1, n + 1):
             want = brute[k]
             closed = formulas.total_sep_nk(n, k)
@@ -89,15 +89,15 @@ def totals(max_n: int, workers: int) -> tuple[bool, str]:
     return True, f"four total routes agree on {cells} cells (n <= {max_n})"
 
 
-def bell_total(max_n: int, workers: int) -> tuple[bool, str]:
+def bell_total(max_n: int) -> tuple[bool, str]:
     for n in range(1, max_n + 1):
-        brute = sum(oracle.brute_totals_by_k(n, workers=workers).values())
+        brute = sum(oracle.brute_totals_by_k(n).values())
         if formulas.total_sep_n(n) != brute:
             return False, f"Bell-number total differs from enumeration at n={n}"
     return True, f"Bell-number closed form matches enumeration (n <= {max_n})"
 
 
-def distribution(max_n: int, workers: int) -> tuple[bool, str]:
+def distribution(max_n: int) -> tuple[bool, str]:
     top = min(max_n, oracle.MAX_DIST_N)
     cells = 0
     for n in range(1, top + 1):
@@ -113,7 +113,7 @@ def distribution(max_n: int, workers: int) -> tuple[bool, str]:
     return True, f"series coefficients match enumerated distributions on {cells} cells (n <= {top})"
 
 
-def pfd(max_n: int, workers: int) -> tuple[bool, str]:
+def pfd(max_n: int) -> tuple[bool, str]:
     for k in range(1, 16):
         closed = formulas.pfd_coeffs(k)
         oracle_table = formulas.pfd_oracle(k)
@@ -126,7 +126,7 @@ def pfd(max_n: int, workers: int) -> tuple[bool, str]:
     return True, "partial fractions match the residue oracle and reconstruct exactly (k <= 15)"
 
 
-def egf(max_n: int, workers: int) -> tuple[bool, str]:
+def egf(max_n: int) -> tuple[bool, str]:
     coeffs = formulas.egf_coeffs(30)
     for n in range(1, 31):
         if coeffs[n] * factorial(n) != formulas.total_sep_n(n):
@@ -138,7 +138,7 @@ def egf(max_n: int, workers: int) -> tuple[bool, str]:
     return True, "exponential series and Bell shift identities exact (n <= 30)"
 
 
-def integrality(max_n: int, workers: int) -> tuple[bool, str]:
+def integrality(max_n: int) -> tuple[bool, str]:
     b = counting.bell_numbers(203)
     for n in range(1, 201):
         value = 4 * b[n + 3] - 3 * b[n + 2] - (6 * n + 13) * b[n + 1] - (6 * n + 1) * b[n]
@@ -147,7 +147,7 @@ def integrality(max_n: int, workers: int) -> tuple[bool, str]:
     return True, "Bell combination divisible by 12 (n <= 200)"
 
 
-def rowsum(max_n: int, workers: int) -> tuple[bool, str]:
+def rowsum(max_n: int) -> tuple[bool, str]:
     for n in range(1, 41):
         by_k = sum(formulas.total_sep_nk(n, k) for k in range(1, n + 1))
         if by_k != formulas.total_sep_n(n):

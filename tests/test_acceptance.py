@@ -29,7 +29,7 @@ def _report(num: int, result: tuple[bool, str], failures=()) -> None:
 def totals_12():
     """Closed form == rational expansion == q-derivative series ==
     enumeration on all 78 cells 1 <= k <= n <= 12."""
-    return verify.totals(12, 1)
+    return verify.totals(12)
 
 
 def test_criterion_01_per_block_totals_match_enumeration(totals_12):
@@ -40,11 +40,11 @@ def test_criterion_01_per_block_totals_match_enumeration(totals_12):
 
 def test_criterion_02_bell_number_totals_match_enumeration():
     spots = [(n, want) for n, want in ((2, 1), (3, 8), (4, 50)) if total_sep_n(n) != want]
-    _report(2, verify.bell_total(12, 1), spots)
+    _report(2, verify.bell_total(12), spots)
 
 
 def test_criterion_03_distribution_series_match_enumeration():
-    _report(3, verify.distribution(9, 1))
+    _report(3, verify.distribution(12))
 
 
 def test_criterion_04_three_total_routes_agree(totals_12):
@@ -54,20 +54,20 @@ def test_criterion_04_three_total_routes_agree(totals_12):
 def test_criterion_05_partial_fractions():
     witness = pfd_coeffs(2)
     ok = witness.b == (Fraction(-2), Fraction(2)) and witness.a == (Fraction(-1), Fraction(0))
-    _report(5, verify.pfd(12, 1), [] if ok else [("witness", witness)])
+    _report(5, verify.pfd(12), [] if ok else [("witness", witness)])
 
 
 def test_criterion_06_exponential_series():
     constant = egf_coeffs(30)[0]  # the suite checks n >= 1
-    _report(6, verify.egf(12, 1), [("coeff", 0, constant)] if constant else [])
+    _report(6, verify.egf(12), [("coeff", 0, constant)] if constant else [])
 
 
 def test_criterion_07_integrality():
-    _report(7, verify.integrality(12, 1))
+    _report(7, verify.integrality(12))
 
 
 def test_criterion_08_row_sums():
-    _report(8, verify.rowsum(12, 1))
+    _report(8, verify.rowsum(12))
 
 
 def test_criterion_09_asymptotics():

@@ -689,20 +689,21 @@ def test_verify_deterministic_output(capsys):
     assert first == second
 
 
-def test_workers_env_must_be_positive_int(capsys, monkeypatch):
+def test_verify_ignores_the_workers_env(capsys, monkeypatch):
+    _, plain, _ = run_cli(capsys, "verify", "--max-n", "4")
     monkeypatch.setenv("SEPREC_WORKERS", "zero")
-    code, _, err = run_cli(capsys, "verify", "--max-n", "3")
-    assert code == 2
-    monkeypatch.setenv("SEPREC_WORKERS", "0")
-    code, _, err = run_cli(capsys, "verify", "--max-n", "3")
-    assert code == 2
-
-
-def test_workers_env_parallel_run(capsys, monkeypatch):
-    monkeypatch.setenv("SEPREC_WORKERS", "2")
-    code, out, _ = run_cli(capsys, "verify", "--max-n", "5", "--suites", "totals,bell_total")
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "4")
     assert code == 0
-    assert "RESULT PASS" in out
+    assert out == plain
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("suites", [",", ""], ids=["comma", "empty"])
+def test_verify_with_no_suites_is_a_usage_error(capsys, fmt, suites):
+    code, out, err = run_cli(capsys, "verify", "--max-n", "3", "--suites", suites, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "seprec: error: no suites requested\n"
 
 
 def test_usage_error_exit_code():

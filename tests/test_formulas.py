@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -128,6 +129,17 @@ def test_rational_series_totals_examples():
     assert rational_series_totals(2, 4)[4] == 11
     with pytest.raises(ValueError):
         rational_series_totals(5, 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rational_series_totals(2, MAX_STIRLING_N + 1),
+    lambda: bell_shift_identities_check(MAX_EGF_ORDER + 1),
+], ids=["rational_series_totals", "bell_shift_identities_check"])
+def test_one_past_a_library_budget_raises_at_once(call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        call()
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 50, 100])
