@@ -39,7 +39,7 @@ count = sum(1 for _ in iterate_with_k(n, k))
 print(f"words of length {n} with exactly {k} blocks: {count} = S({n},{k}) = {stirling2(n, k)}")
 print()
 
-print("the stream splits cleanly by prefix (useful for parallel sweeps):")
+print("the stream splits cleanly by prefix (the pieces concatenate to the whole stream):")
 for prefix, sub in split_by_prefix(5, 2):
     words = list(sub)
     print(f"  prefix {format_word(prefix)}: {len(words)} words, "

@@ -6,7 +6,7 @@ letters strictly before record a; sep adds that up over all records.  On a
 canonical word with k blocks the records are exactly the first occurrences of
 1, ..., k, which is what makes these statistics tractable on set partitions.
 """
-from seprec import iterate_all, num_blocks, records, sep, sep_a, sep_by_positions, srec, swrec
+from seprec import iterate_all, records, sep, sep_a, sep_by_positions, srec, swrec
 
 word = (1, 2, 1, 1, 3, 2)
 print(f"word 121132: records (value, position) = {records(word)}")
@@ -30,6 +30,6 @@ print()
 
 print("every record list on canonical words is 1..k at first occurrences:")
 for w in iterate_all(4):
-    k = num_blocks(w)
+    k = max(w)
     assert [v for v, _ in records(w)] == list(range(1, k + 1))
     print(f"  {''.join(map(str, w))}: k={k} records={records(w)} sep={sep(w)}")

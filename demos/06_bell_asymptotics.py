@@ -3,8 +3,8 @@
 
 The totals grow like B_n * n^3 / (3 r^3) * (1 + r/n), where r solves
 r*e^r = n + 1.  Everything exact is computed exactly (the total over B_n is
-reduced as a rational before touching floats), so the measured ratio isolates
-the quality of the asymptotic approximation itself.
+one correctly rounded division of two integers), so the measured ratio
+isolates the quality of the asymptotic approximation itself.
 """
 from seprec import bell_shift_error, estimate_ratio, solve_r, sweep_csv
 

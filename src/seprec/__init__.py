@@ -8,7 +8,7 @@ series, and the Bell asymptotics of the totals) against independent
 brute-force and residue oracles.
 """
 from .asymptotics import AsymptoticReport, bell_shift_error, estimate_ratio, solve_r, sweep, sweep_csv
-from .counting import bell, binomial, stirling2
+from .counting import bell, stirling2
 from .formulas import (
     PfdCoefficients,
     bell_shift_identities_check,
@@ -30,7 +30,6 @@ from .setpart import (
     from_blocks,
     iterate_all,
     iterate_with_k,
-    num_blocks,
     parse_word,
     split_by_prefix,
     to_blocks,
@@ -49,7 +48,6 @@ __all__ = [
     "bell",
     "bell_shift_error",
     "bell_shift_identities_check",
-    "binomial",
     "brute_distribution_a",
     "brute_total",
     "brute_total_nk",
@@ -63,7 +61,6 @@ __all__ = [
     "from_blocks",
     "iterate_all",
     "iterate_with_k",
-    "num_blocks",
     "parse_word",
     "pfd_coeffs",
     "pfd_oracle",

@@ -141,7 +141,12 @@ def sweep(ns: list[int], literal: bool = False) -> list[AsymptoticReport]:
 
 
 def sweep_csv(ns: list[int], literal: bool = False) -> str:
-    """CSV table ``n,r,ratio,abs_err`` with 12 significant digits per float."""
+    """CSV table ``n,r,ratio,abs_err`` with 12 significant digits per float.
+
+    It stays as the table that ``seprec asym --format csv`` prints (a CLI
+    test checks that the two agree), for demo 06, and for
+    ``perfbench/layers.py``, which times it by name.
+    """
     lines = ["n,r,ratio,abs_err"]
     for rep in sweep(ns, literal=literal):
         lines.append(f"{rep.n},{rep.r:.12g},{rep.ratio:.12g},{rep.abs_err:.12g}")

@@ -134,28 +134,29 @@ _PLAIN_STATS = {
 
 def _cmd_stat(args, out: _Stdout) -> int:
     word = setpart.parse_word(args.word)
-    names = [s.strip() for s in args.stats.split(",") if s.strip()]
+    # a repeated name is computed and printed once, at its first place
+    names = dict.fromkeys(s.strip() for s in args.stats.split(",") if s.strip())
     if not names:
         raise ValueError("no statistics requested")
-    results: list[tuple[str, object]] = []
+    results: dict[str, object] = {}
     for name in names:
         if name in _PLAIN_STATS:
-            results.append((name, _PLAIN_STATS[name](word)))
+            results[name] = _PLAIN_STATS[name](word)
         elif name == "records":
-            results.append((name, [[v, p] for v, p in stats.records(word)]))
+            results[name] = [[v, p] for v, p in stats.records(word)]
         elif name == "sep_a":
             if args.a is None:
                 raise ValueError("sep_a requires --a")
-            results.append((f"sep_a({args.a})", stats.sep_a(word, args.a)))
+            results[f"sep_a({args.a})"] = stats.sep_a(word, args.a)
         else:
             raise ValueError(f"unknown statistic {name!r} (use sep, sep_a, srec, swrec, records)")
     lines = []
-    for name, value in results:
+    for name, value in results.items():
         if name == "records":
             value = ",".join(f"{v}:{p}" for v, p in value)
         lines.append(f"{name} {value}")
-    rows = ([name, json.dumps(value) if isinstance(value, list) else value] for name, value in results)
-    _render(args, out, dict(results), ["stat", "value"], rows, lines)
+    rows = ([name, json.dumps(value) if isinstance(value, list) else value] for name, value in results.items())
+    _render(args, out, results, ["stat", "value"], rows, lines)
     return 0
 
 
@@ -262,7 +263,8 @@ def _cmd_verify(args, out: _Stdout) -> int:
     if args.suites is None:
         names = list(_SUITES)
     else:
-        names = [s.strip() for s in args.suites.split(",") if s.strip()]
+        # a repeated suite runs once, at its first place
+        names = list(dict.fromkeys(s.strip() for s in args.suites.split(",") if s.strip()))
         if not names:
             raise ValueError("no suites requested")
         unknown = sorted(set(names) - set(_SUITES))

@@ -1,4 +1,4 @@
-"""Exact counting kernels: binomials, Stirling numbers of the second kind, Bell numbers.
+"""Exact counting kernels: Stirling numbers of the second kind, Bell numbers.
 
 All values are plain Python integers, so they stay exact at any size.  Every
 function here is pure: nothing is kept between calls.  A single value far up
@@ -22,21 +22,6 @@ from math import comb, factorial, isqrt
 
 MAX_STIRLING_N = 1000
 MAX_BELL_N = 3003
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k), with C(n, k) = 0 for k > n.
-
-    >>> binomial(5, 0)
-    1
-    >>> binomial(4, 2)
-    6
-    >>> binomial(3, 7)
-    0
-    """
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial arguments must be nonnegative, got ({n}, {k})")
-    return comb(n, k)
 
 
 def _window_weights(top: int):

@@ -35,14 +35,6 @@ class QPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial assigned -1."""
-        return len(self.coeffs) - 1
-
-    def coefficient(self, power: int) -> int:
-        return self.coeffs[power] if 0 <= power < len(self.coeffs) else 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 

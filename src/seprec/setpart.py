@@ -57,11 +57,6 @@ def validate(word: Iterable[int]) -> Word:
     return w
 
 
-def num_blocks(word: Sequence[int]) -> int:
-    """Number of blocks of the encoded partition (the maximum letter)."""
-    return max(word)
-
-
 def to_blocks(word: Sequence[int]) -> list[list[int]]:
     """Blocks of the partition encoded by ``word``, ordered by increasing minima.
 
@@ -198,7 +193,8 @@ def split_by_prefix(n: int, depth: int) -> list[tuple[Word, Iterator[Word]]]:
 
     Returns (prefix, sub-stream) pairs in prefix order; concatenating the
     sub-streams reproduces ``iterate_all(n)`` exactly.  Distinct sub-streams
-    share no state, so they may be consumed concurrently.
+    share no state, so they may be consumed concurrently.  It stays for demo 01,
+    which shows the split, and ``perfbench/layers.py``, which times it by name.
 
     >>> [(p, sum(1 for _ in s)) for p, s in split_by_prefix(3, 2)]
     [((1, 1), 2), ((1, 2), 3)]

@@ -310,6 +310,21 @@ def test_stat_sep_a_and_records(capsys):
     assert out.splitlines() == ["records 1:1,2:2,3:5", "sep_a(3) 5"]
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_stat_repeated_name_prints_once(capsys, fmt):
+    code, out, _ = run_cli(capsys, "stat", "--word", "121132", "--stats", "sep,srec,sep", "--format", fmt)
+    assert code == 0
+    _, once, _ = run_cli(capsys, "stat", "--word", "121132", "--stats", "sep,srec", "--format", fmt)
+    if fmt == "json":
+        # the envelope echoes the request as given; the result holds each name once
+        doc, want = json.loads(out), json.loads(once)
+        assert doc["params"]["stats"] == "sep,srec,sep"
+        assert doc["result"] == want["result"] == {"sep": 6, "srec": 8}
+    else:
+        assert out == once
+        assert out.count("sep") == 1
+
+
 def test_stat_sep_a_requires_a(capsys):
     code, _, err = run_cli(capsys, "stat", "--word", "121132", "--stats", "sep_a")
     assert code == 2
@@ -695,6 +710,18 @@ def test_verify_ignores_the_workers_env(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--max-n", "4")
     assert code == 0
     assert out == plain
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_verify_repeated_suite_runs_once(capsys, fmt):
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "2", "--suites", "counts,rowsum,counts", "--format", fmt)
+    assert code == 0
+    _, once, _ = run_cli(capsys, "verify", "--max-n", "2", "--suites", "counts,rowsum", "--format", fmt)
+    assert out == once
+    if fmt == "json":
+        assert json.loads(out)["params"]["suites"] == "counts,rowsum"
+    else:
+        assert out.endswith("RESULT PASS (2/2 suites)\n")
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])

@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 
 from seprec import counting
-from seprec.counting import bell, bell_combination, bell_numbers, binomial, stirling2, stirling2_column
+from seprec.counting import bell, bell_combination, bell_numbers, stirling2, stirling2_column
 
 
 def stirling2_explicit(n: int, k: int) -> int:
@@ -44,20 +44,6 @@ def stirling_triangle(top: int) -> list[list[int]]:
         prev = rows[-1]
         rows.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, m)] + [1])
     return rows
-
-
-def test_binomial_values():
-    assert binomial(5, 0) == 1
-    assert binomial(4, 2) == 6
-    assert binomial(6, 3) == 20
-    assert binomial(3, 7) == 0
-
-
-def test_binomial_rejects_negatives():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
 
 
 def test_stirling_values():

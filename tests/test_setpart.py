@@ -12,7 +12,6 @@ from seprec.setpart import (
     iterate_all,
     iterate_with_k,
     lines,
-    num_blocks,
     parse_word,
     split_by_prefix,
     to_blocks,
@@ -37,9 +36,7 @@ def _fold_rgs(raw):
 
 def test_validate_accepts_known_forms():
     assert validate([1, 2, 2, 3, 1]) == (1, 2, 2, 3, 1)
-    assert num_blocks((1, 2, 2, 3, 1)) == 3
     assert validate([1]) == (1,)
-    assert num_blocks((1,)) == 1
 
 
 def test_validate_reports_first_offending_position():
@@ -126,7 +123,7 @@ def test_iterate_with_k_counts_and_block_count():
         for k in range(1, n + 1):
             words = list(iterate_with_k(n, k))
             assert len(words) == stirling2(n, k)
-            assert all(num_blocks(w) == k for w in words)
+            assert all(max(w) == k for w in words)
             assert words == sorted(words)
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from seprec.setpart import iterate_all, num_blocks
+from seprec.setpart import iterate_all
 from seprec.stats import records, sep, sep_a, sep_by_positions, srec, swrec
 
 words = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=14).map(tuple)
@@ -90,7 +90,7 @@ def test_dual_formula_exhaustive_on_canonical_forms():
 def test_canonical_records_are_first_occurrences():
     for n in range(1, 8):
         for w in iterate_all(n):
-            k = num_blocks(w)
+            k = max(w)
             assert records(w) == [(v, w.index(v) + 1) for v in range(1, k + 1)]
 
 
@@ -98,5 +98,5 @@ def test_canonical_sep_a_includes_smaller_record_offset():
     # before record a sit the records 1..a-1, so sep_a >= a(a-1)/2
     for n in range(1, 8):
         for w in iterate_all(n):
-            for a in range(1, num_blocks(w) + 1):
+            for a in range(1, max(w) + 1):
                 assert sep_a(w, a) >= a * (a - 1) // 2
