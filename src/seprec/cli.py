@@ -90,6 +90,15 @@ def _render(args, out: _Stdout, result, header, rows, lines) -> None:
             out.write(line + "\n")
 
 
+def _name_list(text: str, what: str) -> list[str]:
+    """The names of a comma list, stripped, without empty names, each once
+    at its first place.  Raises ValueError naming ``what`` when none is left."""
+    names = list(dict.fromkeys(s.strip() for s in text.split(",") if s.strip()))
+    if not names:
+        raise ValueError(f"no {what} requested")
+    return names
+
+
 # ---------------------------------------------------------------- enumerate
 
 def _cmd_enumerate(args, out: _Stdout) -> int:
@@ -134,10 +143,8 @@ _PLAIN_STATS = {
 
 def _cmd_stat(args, out: _Stdout) -> int:
     word = setpart.parse_word(args.word)
-    # a repeated name is computed and printed once, at its first place
-    names = dict.fromkeys(s.strip() for s in args.stats.split(",") if s.strip())
-    if not names:
-        raise ValueError("no statistics requested")
+    names = _name_list(args.stats, "statistics")
+    args.stats = ",".join(names)
     results: dict[str, object] = {}
     for name in names:
         if name in _PLAIN_STATS:
@@ -263,10 +270,7 @@ def _cmd_verify(args, out: _Stdout) -> int:
     if args.suites is None:
         names = list(_SUITES)
     else:
-        # a repeated suite runs once, at its first place
-        names = list(dict.fromkeys(s.strip() for s in args.suites.split(",") if s.strip()))
-        if not names:
-            raise ValueError("no suites requested")
+        names = _name_list(args.suites, "suites")
         unknown = sorted(set(names) - set(_SUITES))
         if unknown:
             raise ValueError(f"unknown suites: {', '.join(unknown)}")

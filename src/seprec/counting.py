@@ -1,16 +1,17 @@
 """Exact counting kernels: Stirling numbers of the second kind, Bell numbers.
 
 All values are plain Python integers, so they stay exact at any size.  Every
-function here is pure: nothing is kept between calls.  A single value far up
-comes from a power sum sum_j weight_j * j^n, evaluated by one
-least-prime-factor sieve (:func:`_power_sum`): :func:`stirling2` sums over
-j <= k, and :func:`bell` and :func:`bell_combination` over j <= n + 3 at
-most (a combination of B_n..B_{n+3} at n = 3000, what
+function here is pure: nothing is kept between calls.  Stirling numbers come
+from one recurrence: :func:`stirling2_column` gives S(0..top, k) from the
+Stirling recurrence on the band m - j <= top - k that the column needs, and
+:func:`stirling2` reads one entry of that column.  The power sums serve Bell
+numbers only: a single Bell value far up is a power sum
+sum_j weight_j * j^n, evaluated by one least-prime-factor sieve
+(:func:`_power_sum`): :func:`bell` and :func:`bell_combination` sum over
+j <= n + 3 at most (a combination of B_n..B_{n+3} at n = 3000, what
 ``formulas.total_sep_n`` reads at its budget, takes about 0.4 s).  A run of
-consecutive values comes from one pass of a recurrence:
-:func:`bell_numbers` gives B_0..B_top from the Bell triangle, and
-:func:`stirling2_column` gives S(0..top, k) from the Stirling recurrence on
-the band m - j <= top - k that the column needs.
+consecutive values comes from one pass of the Bell triangle:
+:func:`bell_numbers` gives B_0..B_top.
 
 Each has a size budget: n <= ``MAX_STIRLING_N`` for Stirling numbers and
 n <= ``MAX_BELL_N`` for Bell numbers.
@@ -18,7 +19,7 @@ n <= ``MAX_BELL_N`` for Bell numbers.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb, factorial, isqrt
+from math import factorial, isqrt
 
 MAX_STIRLING_N = 1000
 MAX_BELL_N = 3003
@@ -113,11 +114,8 @@ def bell_combination(n: int, coeffs: tuple[int, ...]) -> int:
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k): partitions of [n] into k
-    blocks, from the alternating power sum
-
-        k! * S(n, k) = sum_{j=0..k} (-1)^(k-j) C(k, j) j^n,
-
-    asserted divisible by k!.  Values with k > n, or k = 0 with n > 0, are
+    blocks, as ``stirling2_column(k, n)[n]``, so every Stirling number comes
+    from the one recurrence.  Values with k > n, or k = 0 with n > 0, are
     zero.
 
     >>> [stirling2(4, k) for k in range(6)]
@@ -127,13 +125,7 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError(f"stirling2 arguments must be nonnegative, got ({n}, {k})")
     if n > MAX_STIRLING_N:
         raise ValueError(f"need n <= {MAX_STIRLING_N} for S(n, k) (Stirling number budget), got n={n}")
-    if k > n:
-        return 0
-    signed = ((j, comb(k, j) if (k - j) % 2 == 0 else -comb(k, j)) for j in range(k, -1, -1))
-    value, rest = divmod(_power_sum(n, k, signed), factorial(k))
-    if rest:
-        raise ArithmeticError(f"power sum for S({n}, {k}) is not divisible by {k}!")
-    return value
+    return stirling2_column(k, n)[n]
 
 
 def bell(n: int) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
-from .counting import MAX_STIRLING_N, bell_combination, bell_numbers, stirling2_column
+from .counting import MAX_BELL_N, MAX_STIRLING_N, bell_combination, bell_numbers, stirling2_column
 
 
 def _record_offset_total(k: int) -> int:
@@ -65,8 +65,9 @@ def total_sep_nk(n: int, k: int) -> int:
 
 # total_sep_n(3000) takes about 0.4 s: one power sum over j <= n + 3 in which
 # only the 430 primes j pay a full j^n and a big product
-# (counting.bell_combination).
-MAX_BELL_TOTAL_N = 3000
+# (counting.bell_combination).  total_sep_n reads B_n..B_{n+3}, so the budget
+# is the Bell budget less 3.
+MAX_BELL_TOTAL_N = MAX_BELL_N - 3
 
 
 def total_sep_n(n: int) -> int:

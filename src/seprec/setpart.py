@@ -204,7 +204,9 @@ def split_by_prefix(n: int, depth: int) -> list[tuple[Word, Iterator[Word]]]:
     return [(p, complete_prefix(p, n)) for p in iterate_all(depth)]
 
 
-# Letters 0-9 to their ASCII digits, every other byte to 0x80, which ASCII refuses.
+# Letters 0-9 to their ASCII digits, for the heads in _block_lines, whose
+# letters are 1-9; the other 246 bytes only pad the table to the 256 that
+# bytes.translate takes.
 _DIGITS = b"0123456789" + b"\x80" * 246
 
 
@@ -213,10 +215,7 @@ def format_word(word: Sequence[int]) -> str:
     comma-separated.
 
     Defined for nonempty words of positive int letters, as every word this
-    module yields or parses; an empty word raises ValueError.  A digit word
-    goes through the byte table ``_DIGITS``; a letter past 9 fails the ASCII
-    decode and a letter past 255 fails ``bytes()``, both with ValueError,
-    and either falls back to joining the letters with commas.
+    module yields or parses; an empty word raises ValueError.
 
     >>> format_word((1, 2, 2, 3, 1))
     '12231'
@@ -225,10 +224,7 @@ def format_word(word: Sequence[int]) -> str:
     """
     if not word:
         raise ValueError("empty word")
-    try:
-        return bytes(word).translate(_DIGITS).decode("ascii")
-    except ValueError:
-        return ",".join(map(str, word))
+    return ("" if max(word) <= 9 else ",").join(map(str, word))
 
 
 # The last letters 1-9 of a digit block with their newlines.

@@ -68,6 +68,12 @@ def test_stirling_matches_explicit_formula():
             assert stirling2(n, k) == stirling2_explicit(n, k)
 
 
+@pytest.mark.parametrize("k", [300, 500, 700])
+def test_stirling_mid_row_at_the_budget_matches_explicit_formula(k):
+    # mid-row cells at the budget, where the column recurrence does the most work
+    assert stirling2(1000, k) == stirling2_explicit(1000, k)
+
+
 def test_stirling_boundary_rows():
     for n in range(1, 30):
         assert stirling2(n, 1) == 1

@@ -228,7 +228,7 @@ def _word_text(word):
 
 
 # words over the positive integers of up to 300 letters, whose largest letter
-# falls on either side of 9/10 and of 255/256
+# falls on either side of 9/10, or far past it
 letter_words = st.sampled_from([9, 10, 255, 256, 10**6]).flatmap(
     lambda top: st.lists(st.integers(min_value=1, max_value=top), min_size=1, max_size=300)
 )
