@@ -3,7 +3,8 @@
 Subcommands: enumerate, stat, total, verify, pfd, series, asym.  Every
 command supports ``--format plain|json|csv`` where it makes sense; identical
 inputs produce byte-identical output (no timestamps, stable ordering).  All
-stdout streams through one sink, ``_Stdout``; warnings and errors go to stderr.
+stdout goes through one buffered text stream made in ``main``; warnings and
+errors go to stderr.
 
 A command computes its result and hands it to ``_render`` in three shapes:
 the json result, csv header and rows, and plain lines.  ``_render`` alone
@@ -14,18 +15,21 @@ carries the command name and its parsed arguments as ``params``.  Only
 letter, or one comma word) as they are in plain, inside the same json
 envelope, or as csv rows, which quote only the comma words.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 141 stdout
-closed by its reader (as a shell reports for ``yes | head -1``).
+Exit codes: 0 success, 1 verification failure, 2 usage error or a failed
+write to stdout, 141 stdout closed by its reader (as a shell reports for
+``yes | head -1``).
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
 from math import factorial
+from typing import TextIO
 
 from . import asymptotics, counting, formulas, oracle, series, setpart, stats, verify
 
@@ -35,36 +39,9 @@ LITERAL_WARNING = (
 )
 
 
-# Characters gathered per write: short lines share a write, a longer line
-# goes out alone, so a streamed listing holds little.
+# Bytes the stdout stream gathers per write: short lines share a write, a
+# longer line goes out alone, so a streamed listing holds little.
 _CHARS_PER_WRITE = 1 << 16
-
-
-class _Stdout:
-    """The one stdout path: json.dump, csv.writer and plain lines write here."""
-
-    def __init__(self):
-        self._parts, self._size = [], 0
-
-    def write(self, text: str) -> None:
-        self._parts.append(text)
-        self._size += len(text)
-        if self._size >= _CHARS_PER_WRITE:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write the gathered text to stdout in full, then flush stdout.
-
-        Unbuffered stdout (``python -u``, PYTHONUNBUFFERED) writes through to a
-        raw file, which takes only part of a large write when the reader leaves,
-        and the text layer drops the rest.  Writing the bytes until all are taken
-        makes the next write after the reader has gone raise BrokenPipeError.
-        """
-        data = memoryview("".join(self._parts).encode(sys.stdout.encoding, sys.stdout.errors))
-        self._parts, self._size = [], 0
-        while data:
-            data = data[sys.stdout.buffer.write(data):]
-        sys.stdout.flush()
 
 
 def _envelope(args, result) -> dict:
@@ -73,7 +50,7 @@ def _envelope(args, result) -> dict:
     return {"command": args.command, "params": params, "result": result}
 
 
-def _render(args, out: _Stdout, result, header, rows, lines) -> None:
+def _render(args, out: TextIO, result, header, rows, lines) -> None:
     """Write a command's result in the format it was asked for: ``result``
     inside the json envelope, ``header`` and ``rows`` as csv, or ``lines`` as
     plain text.  Only that format's part is read, so ``rows`` and ``lines``
@@ -101,7 +78,7 @@ def _name_list(text: str, what: str) -> list[str]:
 
 # ---------------------------------------------------------------- enumerate
 
-def _cmd_enumerate(args, out: _Stdout) -> int:
+def _cmd_enumerate(args, out: TextIO) -> int:
     n, k = args.n, args.k
     chunks = setpart.lines(n, k)
     if args.format == "plain":
@@ -141,7 +118,7 @@ _PLAIN_STATS = {
 }
 
 
-def _cmd_stat(args, out: _Stdout) -> int:
+def _cmd_stat(args, out: TextIO) -> int:
     word = setpart.parse_word(args.word)
     names = _name_list(args.stats, "statistics")
     args.stats = ",".join(names)
@@ -172,33 +149,24 @@ def _cmd_stat(args, out: _Stdout) -> int:
 def _total_value(n: int, k, method: str) -> int:
     if n < 1:
         raise ValueError(f"need --n >= 1, got {n}")
-    literal = method == "literal"
-    if k is None:
-        if method == "formula":
-            return formulas.total_sep_n(n)
-        if method == "brute":
-            return oracle.brute_total(n)
-        if method in ("series", "literal"):
-            return sum(series.sep_totals_by_length(k2, n, literal=literal)[n]
-                       for k2 in range(1, n + 1))
-        if method == "egf":
-            total = formulas.egf_coeffs(n)[n] * factorial(n)
-            if total.denominator != 1:
-                raise ArithmeticError(f"exponential-series total for n={n} is not an integer: {total}")
-            return total.numerator
-    else:
-        if method == "formula":
-            return formulas.total_sep_nk(n, k)
-        if method == "brute":
-            return oracle.brute_total_nk(n, k)
-        if method in ("series", "literal"):
-            return series.sep_totals_by_length(k, n, literal=literal)[n]
-        if method == "egf":
+    if method == "formula":
+        return formulas.total_sep_n(n) if k is None else formulas.total_sep_nk(n, k)
+    if method == "brute":
+        return oracle.brute_total(n) if k is None else oracle.brute_total_nk(n, k)
+    if method in ("series", "literal"):
+        ks = range(1, n + 1) if k is None else [k]
+        return sum(series.sep_totals_by_length(j, n, literal=method == "literal")[n] for j in ks)
+    if method == "egf":
+        if k is not None:
             raise ValueError("method 'egf' computes the all-partitions total; drop --k")
+        total = formulas.egf_coeffs(n)[n] * factorial(n)
+        if total.denominator != 1:
+            raise ArithmeticError(f"exponential-series total for n={n} is not an integer: {total}")
+        return total.numerator
     raise ValueError(f"unknown method {method!r}")
 
 
-def _cmd_total(args, out: _Stdout) -> int:
+def _cmd_total(args, out: TextIO) -> int:
     if args.method == "literal":
         print(LITERAL_WARNING, file=sys.stderr)
     text = str(_total_value(args.n, args.k, args.method))
@@ -209,7 +177,7 @@ def _cmd_total(args, out: _Stdout) -> int:
 
 # ---------------------------------------------------------------------- pfd
 
-def _cmd_pfd(args, out: _Stdout) -> int:
+def _cmd_pfd(args, out: TextIO) -> int:
     if args.literal:
         if args.oracle:
             raise ValueError("--literal applies to the closed form, not the oracle")
@@ -229,7 +197,7 @@ def _cmd_pfd(args, out: _Stdout) -> int:
 
 # ------------------------------------------------------------------- series
 
-def _cmd_series(args, out: _Stdout) -> int:
+def _cmd_series(args, out: TextIO) -> int:
     if args.literal:
         print(LITERAL_WARNING, file=sys.stderr)
     xs = series.distribution_series(args.k, args.a, args.order, literal=args.literal)
@@ -241,7 +209,7 @@ def _cmd_series(args, out: _Stdout) -> int:
 
 # --------------------------------------------------------------------- asym
 
-def _cmd_asym(args, out: _Stdout) -> int:
+def _cmd_asym(args, out: TextIO) -> int:
     if args.literal:
         print(LITERAL_WARNING, file=sys.stderr)
     ns = [int(part) for part in args.n_list.split(",") if part.strip()]
@@ -263,7 +231,7 @@ def _cmd_asym(args, out: _Stdout) -> int:
 _SUITES = verify.SUITES
 
 
-def _cmd_verify(args, out: _Stdout) -> int:
+def _cmd_verify(args, out: TextIO) -> int:
     max_n = args.max_n
     if not 1 <= max_n <= oracle.MAX_TOTAL_N:
         raise ValueError(f"need 1 <= --max-n <= {oracle.MAX_TOTAL_N}, got {max_n}")
@@ -295,65 +263,60 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", help="stream canonical words")
+    def command(name, func, help, formats=("plain", "json", "csv")):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=formats, default="plain")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("enumerate", _cmd_enumerate, "stream canonical words")
     p.add_argument("--n", type=int, required=True, help="word length")
     p.add_argument("--k", type=int, default=None, help="restrict to exactly k blocks")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("stat", help="record statistics of one word")
+    p = command("stat", _cmd_stat, "record statistics of one word")
     p.add_argument("--word", required=True, help="bare digits, or comma-separated letters")
     p.add_argument("--stats", default="sep", help="comma list: sep,sep_a,srec,swrec,records")
     p.add_argument("--a", type=int, default=None, help="record value for sep_a")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p.set_defaults(func=_cmd_stat)
 
-    p = sub.add_parser("total", help="total of sep over all partitions of [n]")
+    p = command("total", _cmd_total, "total of sep over all partitions of [n]")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="restrict to exactly k blocks")
     p.add_argument("--method", choices=("formula", "brute", "series", "egf", "literal"),
                    default="formula")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p.set_defaults(func=_cmd_total)
 
-    p = sub.add_parser("verify", help="run the verification suites")
+    p = command("verify", _cmd_verify, "run the verification suites", formats=("plain", "json"))
     p.add_argument("--max-n", type=int, default=10, dest="max_n")
     p.add_argument("--suites", default=None,
                    help=f"comma list from: {','.join(_SUITES)} (default all)")
-    p.add_argument("--format", choices=("plain", "json"), default="plain")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("pfd", help="partial fraction coefficient table")
+    p = command("pfd", _cmd_pfd, "partial fraction coefficient table")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--oracle", action="store_true", help="use the residue oracle route")
     p.add_argument("--literal", action="store_true",
                    help="non-validated closed-form variant (+k^3/12)")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p.set_defaults(func=_cmd_pfd)
 
-    p = sub.add_parser("series", help="distribution series for one record value")
+    p = command("series", _cmd_series, "distribution series for one record value")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--order", type=int, required=True, help="truncation order in x")
     p.add_argument("--literal", action="store_true", help="non-validated variant")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("asym", help="asymptotic estimate quality report")
+    p = command("asym", _cmd_asym, "asymptotic estimate quality report")
     p.add_argument("--n-list", default="50,100,200,400", dest="n_list",
                    help="comma list of n values")
     p.add_argument("--literal", action="store_true",
                    help="non-validated estimate without the 1/3")
-    p.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    p.set_defaults(func=_cmd_asym)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    out = _Stdout()
+    args = _build_parser().parse_args(argv)
+    # The one stdout stream.  BufferedWriter writes each chunk until all of it
+    # is taken, also to the raw file of an unbuffered stdout (python -u), so the
+    # next write after the reader has gone raises BrokenPipeError.
+    out = io.TextIOWrapper(io.BufferedWriter(sys.stdout.buffer, _CHARS_PER_WRITE),
+                           encoding=sys.stdout.encoding, errors=sys.stdout.errors, newline="\n")
     # Lift CPython's limit on int-to-str digits (Python 3.11+) while the
     # command runs: the numbers it writes may be longer.  argparse reads the
     # int options under the default limit.
@@ -361,18 +324,26 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        code = args.func(args, out)
+        try:
+            code = args.func(args, out)
+        except (ValueError, ArithmeticError) as exc:
+            print(f"seprec: error: {exc}", file=sys.stderr)
+            code = 2
         out.flush()
+        sys.stdout.flush()
         return code
-    except (ValueError, ArithmeticError) as exc:
-        print(f"seprec: error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at the null device so that the
-        # flush at exit cannot fail again and print a traceback.
+    except OSError as exc:
+        # The reader closed stdout, or its file refused a write.  Point stdout
+        # at the null device, so that the flushes still to come, in detach and
+        # at exit, cannot fail again and print a traceback.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"seprec: error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
     finally:
+        # Detach both layers, so that the stream never closes sys.stdout.buffer.
+        out.detach().detach()
         if limit is not None:
             sys.set_int_max_str_digits(limit)
 

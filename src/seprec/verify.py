@@ -72,14 +72,17 @@ def stats_dual(max_n: int) -> tuple[bool, str]:
 
 
 def totals(max_n: int) -> tuple[bool, str]:
+    # each series route gives the totals of every n <= max_n for its k at once
+    rationals = {k: formulas.rational_series_totals(k, max_n) for k in range(1, max_n + 1)}
+    qderivs = {k: series.sep_totals_by_length(k, max_n) for k in range(1, max_n + 1)}
     cells = 0
     for n in range(1, max_n + 1):
         brute = oracle.brute_totals_by_k(n)
         for k in range(1, n + 1):
             want = brute[k]
             closed = formulas.total_sep_nk(n, k)
-            rational = formulas.rational_series_totals(k, n)[n]
-            qderiv = series.sep_totals_by_length(k, n)[n]
+            rational = rationals[k][n]
+            qderiv = qderivs[k][n]
             if not closed == rational == qderiv == want:
                 return False, (
                     f"totals disagree at n={n} k={k}: brute={want} closed={closed} "

@@ -1,7 +1,9 @@
 import ast
 import csv
+import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -142,18 +144,25 @@ class _Words(list):
         return self._texts()
 
 
+def _listed_words(n, k):
+    """Functions that count the words that ``enumerate`` lists and stream
+    their texts."""
+    if k is None:
+        return _canonical_words(n)
+
+    def count():
+        return sum(1 for _ in setpart.iterate_with_k(n, k))
+
+    def texts():
+        return map(_word_text, setpart.iterate_with_k(n, k))
+
+    return count, texts
+
+
 def _write_listing(out, fmt, n, k):
     """Write the enumerate listing to ``out``, composed by json, csv or plain
     lines from each word's text, as a reference for the CLI's listing."""
-    if k is None:
-        count, texts = _canonical_words(n)
-    else:
-        def count():
-            return sum(1 for _ in setpart.iterate_with_k(n, k))
-
-        def texts():
-            return map(_word_text, setpart.iterate_with_k(n, k))
-
+    count, texts = _listed_words(n, k)
     if fmt == "plain":
         out.writelines(w + "\n" for w in texts())
     elif fmt == "json":
@@ -199,6 +208,25 @@ def _digest(write):
     return value, sink.size, sink.sha.hexdigest()
 
 
+@functools.cache
+def _plain_and_csv_digests(n, k):
+    """What ``_digest`` gives for the plain and for the csv reference listing,
+    by format, both written from one walk of the words: the two differ only by
+    csv's header and the quotes around a comma word."""
+    sinks = {"plain": _HashSink(), "csv": _HashSink()}
+    plain, table = (io.TextIOWrapper(io.BufferedWriter(sink), encoding="ascii", newline="\n")
+                    for sink in sinks.values())
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["word"])
+    texts = _listed_words(n, k)[1]()
+    for batch in iter(lambda: list(itertools.islice(texts, 4096)), []):
+        plain.write("\n".join(batch) + "\n")
+        writer.writerows(zip(batch))
+    plain.flush()
+    table.flush()
+    return {fmt: (None, sink.size, sink.sha.hexdigest()) for fmt, sink in sinks.items()}
+
+
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 @pytest.mark.parametrize("n, k, chars_per_write", [
     (9, None, None),  # the plain B_9 listing makes 211,470 characters, four writes
@@ -223,7 +251,11 @@ def test_enumerate_across_write_chunks(monkeypatch, fmt, n, k, chars_per_write):
     code, size, sha = _digest(run)
     assert code == 0
     assert size > cli._CHARS_PER_WRITE
-    assert _digest(lambda stream: _write_listing(stream, fmt, n, k)) == (None, size, sha)
+    if fmt == "json":
+        want = _digest(lambda stream: _write_listing(stream, fmt, n, k))
+    else:
+        want = _plain_and_csv_digests(n, k)[fmt]
+    assert want == (None, size, sha)
 
 
 # Runs the CLI in a child that prints its peak RSS in KiB to stderr after the
@@ -487,19 +519,54 @@ def test_closed_stdout_exits_141_without_traceback(argv, unbuffered, head):
 
 
 def test_stdout_has_one_path():
-    # every print goes to stderr, and only the sink's flush writes to stdout
+    # every print goes to stderr, nothing writes to sys.stdout itself, and
+    # sys.stdout.buffer is named only in the one stream that main makes
     tree = ast.parse(Path(cli.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print":
             assert [ast.unparse(kw.value) for kw in node.keywords if kw.arg == "file"] == ["sys.stderr"]
-    sink = next(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "_Stdout")
-    flush = next(node for node in sink.body if isinstance(node, ast.FunctionDef) and node.name == "flush")
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    stream, = (node for node in ast.walk(main) if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "io.TextIOWrapper")
 
-    def writes(root):
-        return [node for node in ast.walk(root) if isinstance(node, ast.Attribute)
-                and ast.unparse(node) in ("sys.stdout.buffer.write", "sys.stdout.write")]
+    def named(root, names):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Attribute) and ast.unparse(node) in names]
 
-    assert writes(flush) and writes(tree) == writes(flush)
+    assert not named(tree, ("sys.stdout.write", "sys.stdout.writelines", "sys.stdout.buffer.write"))
+    assert named(tree, ("sys.stdout.buffer",)) == named(stream, ("sys.stdout.buffer",)) != []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("total", "--n", "5"),  # the one write fails at the final flush
+    ("enumerate", "--n", "9"),  # a write fails while the command runs
+], ids=["total", "enumerate"])
+def test_full_stdout_exits_2_with_one_line(argv, unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "seprec.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"seprec: error: cannot write stdout: ")
+    assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
+
+
+# The sha256 of each benchmark command's stdout as perfbench/freeze_digests.py
+# froze it, so that a change of output bytes fails here, not only in the benchmark.
+_BENCH_DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(_BENCH_DIGESTS))
+def test_output_matches_the_benchmark_digest(monkeypatch, command):
+    def run(stream):
+        monkeypatch.setattr(sys, "stdout", stream)
+        return cli.main(command.split())
+
+    code, _, sha = _digest(run)
+    assert (code, sha) == (0, _BENCH_DIGESTS[command])
 
 
 def test_only_the_renderer_and_enumerate_read_the_format():
