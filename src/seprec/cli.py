@@ -3,17 +3,17 @@
 Subcommands: enumerate, stat, total, verify, pfd, series, asym.  Every
 command supports ``--format plain|json|csv`` where it makes sense; identical
 inputs produce byte-identical output (no timestamps, stable ordering).  All
-stdout goes through one buffered text stream made in ``main``; warnings and
-errors go to stderr.
+stdout goes through one buffered text stream made in ``main`` (or straight to
+a text stdout that has no bytes below it); warnings and errors go to stderr.
 
 A command computes its result and hands it to ``_render`` in three shapes:
 the json result, csv header and rows, and plain lines.  ``_render`` alone
 picks the one that ``--format`` asks for and writes it; the json envelope
 carries the command name and its parsed arguments as ``params``.  Only
 ``enumerate`` writes its own output: it streams the text chunks of
-``setpart.lines`` (a run of digit words that differ only in their last
-letter, or one comma word) as they are in plain, inside the same json
-envelope, or as csv rows, which quote only the comma words.
+``setpart.lines`` (the digit words after one prefix, or one word that may
+hold commas) as they are in plain, inside the same json envelope, or as csv
+rows, which quote only the comma words.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or a failed
 write to stdout, 141 stdout closed by its reader (as a shell reports for
@@ -314,9 +314,13 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     # The one stdout stream.  BufferedWriter writes each chunk until all of it
     # is taken, also to the raw file of an unbuffered stdout (python -u), so the
-    # next write after the reader has gone raises BrokenPipeError.
-    out = io.TextIOWrapper(io.BufferedWriter(sys.stdout.buffer, _CHARS_PER_WRITE),
-                           encoding=sys.stdout.encoding, errors=sys.stdout.errors, newline="\n")
+    # next write after the reader has gone raises BrokenPipeError.  A text
+    # stdout without bytes below it, as io.StringIO under
+    # contextlib.redirect_stdout, takes the text itself.
+    wrapped = hasattr(sys.stdout, "buffer")
+    out = (io.TextIOWrapper(io.BufferedWriter(sys.stdout.buffer, _CHARS_PER_WRITE),
+                            encoding=sys.stdout.encoding, errors=sys.stdout.errors, newline="\n")
+           if wrapped else sys.stdout)
     # Lift CPython's limit on int-to-str digits (Python 3.11+) while the
     # command runs: the numbers it writes may be longer.  argparse reads the
     # int options under the default limit.
@@ -343,7 +347,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     finally:
         # Detach both layers, so that the stream never closes sys.stdout.buffer.
-        out.detach().detach()
+        if wrapped:
+            out.detach().detach()
         if limit is not None:
             sys.set_int_max_str_digits(limit)
 

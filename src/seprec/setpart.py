@@ -12,9 +12,11 @@ recursion limit; generators yield fresh tuples, storable without copying.
 
 Text form: a word prints as a bare digit string when its largest letter is at
 most 9 (e.g. ``12231``) and as comma-separated integers otherwise.
-:func:`lines` streams that text for a whole listing from the same walk,
-without tuples: consecutive words that differ only in their last letter
-share the rest of their text, so a run of digit words is formatted once.
+:func:`lines` streams that text for a whole listing from the same walk.
+The last few letters of a word depend only on the largest letter before
+them (Knuth, TAOCP 4A, 7.2.1.5), so their text is made once per listing for
+each such letter, and the walk visits only the prefixes before them: the
+digit words after one prefix are formatted as one chunk.
 """
 from __future__ import annotations
 
@@ -100,21 +102,13 @@ def from_blocks(blocks: Sequence[Iterable[int]]) -> Word:
     return validate(word)
 
 
-def _walk(word: list[int], i: int, biggest: int, low: int, high: int, block=None) -> Iterator:
+def _walk(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterator[Word]:
     """Completions of ``word[:i]`` (maximum ``biggest``) to restricted growth
     strings with largest letter in ``low..high``, in lexicographic order; one
-    must exist.  Each yield is a fresh tuple of the shared buffer ``word``.
-
-    With ``block`` given, the walk yields from ``block(word, first, stop)``
-    instead, once per run of words that differ only in their last letter:
-    ``word[:-1]`` followed by each of ``first..stop-1``.  ``block`` may
-    change ``word[-1]`` and no other letter."""
+    must exist.  Each yield is a fresh tuple of the shared buffer ``word``."""
     last = len(word) - 1
     if i > last:
-        if block is None:
-            yield tuple(word)
-        else:
-            yield from block(word, word[last], word[last] + 1)
+        yield tuple(word)
         return
     top = [biggest] * (last + 1)  # top[t] = max(word[:t]) for t >= i
     t = i
@@ -125,13 +119,9 @@ def _walk(word: list[int], i: int, biggest: int, low: int, high: int, block=None
             word[t] = v = 1 if low - b <= last - t else b + 1
             top[t + 1] = b if v <= b else v
         b = top[last]
-        first, stop = 1 if b >= low else low, (b + 1 if b < high else high) + 1
-        if block is None:
-            for v in range(first, stop):
-                word[last] = v
-                yield tuple(word)
-        else:
-            yield from block(word, first, stop)
+        for v in range(1 if b >= low else low, (b + 1 if b < high else high) + 1):
+            word[last] = v
+            yield tuple(word)
         # carry: the rightmost letter before the last that can still grow
         t = last - 1
         while t >= i and (word[t] > top[t] or word[t] >= high):
@@ -204,7 +194,7 @@ def split_by_prefix(n: int, depth: int) -> list[tuple[Word, Iterator[Word]]]:
     return [(p, complete_prefix(p, n)) for p in iterate_all(depth)]
 
 
-# Letters 0-9 to their ASCII digits, for the heads in _block_lines, whose
+# Letters 0-9 to their ASCII digits, for the digit text in lines, whose
 # letters are 1-9; the other 246 bytes only pad the table to the 256 that
 # bytes.translate takes.
 _DIGITS = b"0123456789" + b"\x80" * 246
@@ -227,40 +217,73 @@ def format_word(word: Sequence[int]) -> str:
     return ("" if max(word) <= 9 else ",").join(map(str, word))
 
 
-# The last letters 1-9 of a digit block with their newlines.
-_LAST_DIGITS = [f"{v}\n" for v in range(1, 10)]
+def _letter_bytes(word: Sequence[int]) -> bytes | None:
+    """The letters of ``word`` as bytes, or None when one is past 255."""
+    try:
+        return bytes(word)
+    except ValueError:
+        return None
 
 
-def _block_lines(word: list[int], first: int, stop: int) -> Iterator[str]:
-    """Newline-terminated text of the words ``word[:-1]`` + (v,) for v in
-    ``first..stop-1``: one chunk when every letter is at most 9, else one
-    chunk per word.
-
-    Every run that ``_walk`` hands over for :func:`lines` has
-    stop >= max(word[:-1]) + 1, so stop <= 10 means the head holds only
-    digits."""
-    if stop <= 10:
-        head = bytes(word[:-1]).translate(_DIGITS).decode("ascii")
-        yield head + head.join(_LAST_DIGITS[first - 1:stop - 1])
-        return
-    for v in range(first, stop):
-        word[-1] = v
-        yield format_word(word) + "\n"
+def _chunks(head: list[int], depth: int, low: int, high: int) -> Iterator[str]:
+    """The text of :func:`lines`, from a walk of the prefixes in the buffer
+    ``head``, which is ``depth`` letters shorter than the words."""
+    m = len(head)
+    # per largest letter b of a prefix: the text of its completions when
+    # none can pass letter 9, else their letters
+    tails: dict[int, list] = {}
+    # A prefix may miss low by as many letters as its completions add.  Its
+    # tuple goes as soon as it is read as bytes, so that a long word is
+    # formatted beside no copy of its prefix.
+    for data in map(_letter_bytes, _walk(head, 1, 1, max(low - depth, 1), high)):
+        # A prefix holds every letter from 1 to its largest, b, and its
+        # completions reach at most b + depth, so byte searches tell whether
+        # they all print as digits and, if so, find b.
+        digits = data is not None and 10 - depth not in data
+        if digits:
+            b = 9 - depth
+            while b not in data:
+                b -= 1
+        else:
+            b = max(head)
+        if b not in tails:
+            # the completions depend only on b, so those of the first prefix
+            # with largest letter b serve every later one.  Words are built
+            # at the end of head and cut off before the prefix walk resumes.
+            head += [1] * depth
+            found = [word[m:] for word in _walk(head, m, b, low, high)]
+            del head[m:]
+            if digits:
+                found = [bytes(tail).translate(_DIGITS).decode("ascii") + "\n" for tail in found]
+            tails[b] = found
+        if digits:
+            text = data.translate(_DIGITS).decode("ascii")
+            yield text + text.join(tails[b])
+        else:
+            # a completion may reach letter 10, which prints with commas
+            for tail in tails[b]:
+                head[m:] = tail
+                yield format_word(head) + "\n"
+            del head[m:]
 
 
 def lines(n: int, k: int | None = None) -> Iterator[str]:
     """Text of the listing ``iterate_all(n)``, or ``iterate_with_k(n, k)``
     when ``k`` is given, in chunks of newline-terminated :func:`format_word`
-    lines.  A chunk holds either the digit words that differ only in their
-    last letter, at most nine, or one comma-separated word.  Sizes are
-    checked at call time, with the messages of the tuple generators.
+    lines.  A chunk holds the digit words that share all but their last
+    three letters (the last letter once n > 120, so that long words still
+    stream), at most 504 of them (9 once n > 120), or one word that may
+    reach a letter past 9.  Sizes are checked at call time, with the
+    messages of the tuple generators.
 
     >>> list(lines(3))
-    ['111\\n112\\n', '121\\n122\\n123\\n']
+    ['111\\n112\\n121\\n122\\n123\\n']
     >>> list(lines(3, 3))
     ['123\\n']
     """
-    return _walk([1] * n, 1, 1, *_letter_range(n, k), _block_lines)
+    low, high = _letter_range(n, k)
+    depth = min(3 if n <= 120 else 1, n - 1)
+    return _chunks([1] * (n - depth), depth, low, high)
 
 
 def parse_word(text: str) -> Word:

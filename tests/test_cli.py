@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import functools
 import hashlib
@@ -236,7 +237,7 @@ def _plain_and_csv_digests(n, k):
     (10, None, None),  # words with a letter 10 print with commas
     (10, 10, 5),  # csv quotes the one word, 1,2,...,10
     (11, 10, 5),  # comma words only, one per chunk
-    (12, None, None),  # digit words then comma words, within and across last-letter runs
+    (12, None, None),  # digit words then comma words, within and across the chunks of one prefix
 ])
 def test_enumerate_across_write_chunks(monkeypatch, fmt, n, k, chars_per_write):
     if chars_per_write is not None:
@@ -534,6 +535,14 @@ def test_stdout_has_one_path():
 
     assert not named(tree, ("sys.stdout.write", "sys.stdout.writelines", "sys.stdout.buffer.write"))
     assert named(tree, ("sys.stdout.buffer",)) == named(stream, ("sys.stdout.buffer",)) != []
+
+
+def test_main_writes_to_a_text_stdout_without_bytes_below_it():
+    # io.StringIO has no .buffer; main writes the text to it directly
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["total", "--n", "4"])
+    assert (code, out.getvalue()) == (0, "50\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

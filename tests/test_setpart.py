@@ -253,10 +253,26 @@ def _lines_cases():
     for n in range(1, 11):
         yield n, None
         yield from ((n, k) for k in range(1, n + 1))
-    # letters 10 and up print with commas; these listings mix both forms, and
-    # some of their last-letter runs cross from 9 to 10
-    for n in (11, 12):
-        yield from ((n, k) for k in range(9, n + 1))
+    # n = 11 is the benchmark's size.  Letters 10 and up print with commas; at
+    # n = 11 and 12 these listings mix both forms, and with k = 7 and 8 their
+    # prefixes whose completions can pass letter 9 fall back to a line per word
+    yield 11, None
+    yield from ((11, k) for k in range(1, 12))
+    yield from ((12, k) for k in range(7, 13))
+
+
+def _check_chunk(n, chunk):
+    """A chunk of lines(n) holds one word if it has a comma; else at most
+    504 words that share all but their last three letters, or at most 9
+    words once n > 120."""
+    assert chunk.endswith("\n")
+    words = chunk.splitlines()
+    if "," in chunk:
+        assert len(words) == 1, (n, chunk)
+    elif n <= 120:
+        assert len(words) <= 504 and len({w[:n - 3] for w in words}) == 1, (n, chunk)
+    else:
+        assert len(words) <= 9, (n, chunk)
 
 
 def test_lines_match_format_word_per_word():
@@ -265,9 +281,28 @@ def test_lines_match_format_word_per_word():
         chunks = list(lines(n, k))
         assert "".join(chunks) == "".join(format_word(w) + "\n" for w in words), (n, k)
         for chunk in chunks:
-            assert chunk.endswith("\n")
-            count = chunk.count("\n")
-            assert count <= 9 and ("," not in chunk or count == 1), (n, k, chunk)
+            _check_chunk(n, chunk)
+
+
+@pytest.mark.parametrize("n, k", [(120, None), (121, None), (121, 2), (2100, None)])
+def test_lines_match_format_word_across_the_depth_switch(n, k):
+    # past n = 120 a chunk holds the words after a prefix one letter shorter
+    # than they are, so that long words still stream; these listings are far
+    # too long to finish
+    words = iterate_all(n) if k is None else iterate_with_k(n, k)
+    chunks = list(itertools.islice(lines(n, k), 2000))
+    text = "".join(chunks)
+    count = text.count("\n")
+    assert text == "".join(format_word(w) + "\n" for w in itertools.islice(words, count)), (n, k)
+    for chunk in chunks:
+        _check_chunk(n, chunk)
+
+
+def test_lines_chunks_at_the_benchmark_size():
+    # the largest digit chunk of lines(11) follows a prefix whose largest
+    # letter is 6: 6 * 50 + 65 = 365 completions of three letters, where
+    # c(b) = b**2 + 2*b + 2 counts those of two letters after largest letter b
+    assert max(chunk.count("\n") for chunk in lines(11)) == 6 * (6**2 + 2 * 6 + 2) + (7**2 + 2 * 7 + 2) == 365
 
 
 def test_lines_refuse_bad_sizes_like_the_tuple_generators():
