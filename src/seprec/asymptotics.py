@@ -23,7 +23,7 @@ to 1/3, see the README section on formula variants).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import bell
 from .formulas import total_sep_n
@@ -65,9 +65,9 @@ def solve_r(n: int) -> float:
     raise RuntimeError(f"root solve for n={n} did not reach residual {_RESIDUAL_TOL}")
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """Exact-to-estimate comparison at one n.
+class AsymptoticReport(NamedTuple):
+    """Exact-to-estimate comparison at one n, as a tuple of the six fields
+    below.
 
     ``ratio`` divides the exact total/B_n by the full estimate
     n^3/(3 r^3) * (1 + r/n); ``bare_ratio`` divides by the bare leading term

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -201,7 +200,7 @@ def _cmd_series(args, out: TextIO) -> int:
     if args.literal:
         print(LITERAL_WARNING, file=sys.stderr)
     xs = series.distribution_series(args.k, args.a, args.order, literal=args.literal)
-    result = [[n, sorted(c.to_dict().items())] for n, c in enumerate(xs.coeffs)]
+    result = [[n, list(c.to_dict().items())] for n, c in enumerate(xs.coeffs)]
     rows = ([n, s, count] for n, terms in result for s, count in terms)
     _render(args, out, result, ["n", "s", "count"], rows, [series.format_series(xs)])
     return 0
@@ -216,7 +215,7 @@ def _cmd_asym(args, out: TextIO) -> int:
     if not ns:
         raise ValueError("empty --n-list")
     reports = asymptotics.sweep(ns, literal=args.literal)
-    result = [dataclasses.asdict(rep) for rep in reports]
+    result = [rep._asdict() for rep in reports]
     rows = ([rep.n, f"{rep.r:.12g}", f"{rep.ratio:.12g}", f"{rep.abs_err:.12g}"] for rep in reports)
     lines = [f"{'n':>6} {'r':>16} {'ratio':>16} {'abs_err':>16}"]
     lines += (f"{rep.n:>6} {rep.r:>16.12g} {rep.ratio:>16.12g} {rep.abs_err:>16.12g}" for rep in reports)

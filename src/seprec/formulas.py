@@ -21,9 +21,9 @@ denominator known in advance; only the probe evaluations
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from .counting import MAX_BELL_N, MAX_STIRLING_N, bell_combination, bell_numbers, stirling2_column
 
@@ -126,11 +126,10 @@ def rational_series_totals(k: int, order: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class PfdCoefficients:
-    """Exact partial fraction table for a fixed block count ``k``:
-    the double-pole coefficients ``a[m-1]`` and simple-pole coefficients
-    ``b[m-1]`` at y = m, for m = 1..k."""
+class PfdCoefficients(NamedTuple):
+    """Exact partial fraction table for a fixed block count ``k``, as a tuple
+    ``(k, a, b)``: the double-pole coefficients ``a[m-1]`` and simple-pole
+    coefficients ``b[m-1]`` at y = m, for m = 1..k."""
 
     k: int
     a: tuple[Fraction, ...]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from operator import add, sub
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 
 class QPoly:
@@ -82,38 +82,17 @@ def format_qpoly(p: QPoly) -> str:
     return " + ".join(f"{c}*q^{s}" for s, c in enumerate(p.coeffs) if c)
 
 
-class XSeries:
-    """Power series in x truncated at a fixed order, with QPoly coefficients."""
+class XSeries(NamedTuple):
+    """Power series in x truncated at ``order``: a tuple ``(order, coeffs)``
+    whose ``coeffs`` holds one QPoly per x power 0..order."""
 
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: Iterable[QPoly] = ()):
-        if order < 0:
-            raise ValueError(f"order must be nonnegative, got {order}")
-        cs = list(coeffs)
-        if len(cs) > order + 1:
-            raise ValueError(f"{len(cs)} coefficients exceed truncation order {order}")
-        cs.extend(QPoly() for _ in range(order + 1 - len(cs)))
-        self.order = order
-        self.coeffs = tuple(cs)
+    order: int
+    coeffs: tuple[QPoly, ...]
 
     def coefficient(self, n: int) -> QPoly:
         if not 0 <= n <= self.order:
             raise ValueError(f"x power {n} outside truncation order {self.order}")
         return self.coeffs[n]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, XSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"XSeries(order={self.order}, coeffs={list(self.coeffs)!r})"
 
 
 def format_series(series: XSeries) -> str:
@@ -144,13 +123,15 @@ def _times_letters(j: int) -> Step:
 def _expand(order: int, xpower: int, qpower: int, steps: Iterable[Step]) -> XSeries:
     """x^xpower q^qpower / prod (1 - x*L), one factor per step p -> L*p,
     truncated at x^order."""
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     g = [[0] * qpower + [1]] + [[]] * (order - xpower)
     for step in steps:
         for m in range(1, len(g)):
             # g_m = h_m + L*g_{m-1}: add the shorter list into the longer
             short, longer = sorted((g[m], step(g[m - 1])), key=len)
             g[m] = [*map(add, longer, short), *longer[len(short):]]
-    return XSeries(order, [QPoly()] * xpower + [QPoly(c) for c in g])
+    return XSeries(order, tuple([QPoly()] * xpower + [QPoly(c) for c in g]))
 
 
 def word_sum_factor(j: int, order: int) -> XSeries:

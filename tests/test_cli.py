@@ -311,7 +311,8 @@ def test_total_by_k_at_the_stirling_budget_stays_small(k):
 
 def test_importing_the_cli_loads_no_process_pool():
     script = ("import sys\nimport seprec.cli\n"
-              "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n")
+              "print(sorted({'multiprocessing', 'concurrent.futures.process', 'dataclasses', 'inspect'}"
+              " & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
@@ -592,9 +593,12 @@ def test_total_egf_asserts_integrality(capsys, monkeypatch):
     assert "not an integer" in err
 
 
-# Regression pins, not goldens: the --literal variant has no oracle, so these
-# sha256 digests only freeze its output, so that a rewrite of the series code
-# cannot change it unnoticed.  They say nothing about whether it is right.
+# Regression pins, not goldens: sha256 digests of outputs that the benchmark
+# digests above do not cover, so that a rewrite cannot change their bytes
+# unnoticed.  LITERAL_PINS freeze the --literal variant, which has no oracle,
+# so they say nothing about whether it is right.  FORMAT_PINS freeze the json
+# and csv forms of asym, pfd and series, whose plain forms the benchmark
+# digests pin.
 LITERAL_PINS = {
     ("series", "--k", "6", "--a", "4", "--order", "15", "--literal"):
         "ee80bbd939a9f36554cd89717af8d8a05069760eba4dc0e2861e7fa36a44eb84",
@@ -608,6 +612,24 @@ def test_literal_output_regression_pin(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LITERAL_PINS[argv]
+
+FORMAT_PINS = {
+    ("asym", "--n-list", "50,100", "--format", "json"):
+        "f3f5235af7cae130e7ff12e1cea1fb2995555b3d22d190da1674f1d2231d2af4",
+    ("asym", "--n-list", "50,100", "--format", "csv"):
+        "0dfe3143d25277fb815546e9fbac0a96cdc358084759f3ca75441dcf89c94b23",
+    ("pfd", "--k", "20", "--format", "json"):
+        "ce889c9b439d186cd36a25f61ae905ddb089bcdc2e2881ab78ddd691a7b8912a",
+    ("series", "--k", "4", "--a", "4", "--order", "10", "--format", "json"):
+        "78312ad53ddf02d888772ee640c3b6540c0d56e12655200e2836dec7e6094e98",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FORMAT_PINS))
+def test_format_output_regression_pin(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FORMAT_PINS[argv]
 
 
 def test_json_round_trip(capsys):

@@ -67,6 +67,11 @@ def test_word_factors_need_a_positive_alphabet():
         word_sum_factor(0, 3)
     with pytest.raises(ValueError):
         word_count_factor(0, 3)
+    # and a negative truncation order
+    with pytest.raises(ValueError):
+        word_sum_factor(1, -1)
+    with pytest.raises(ValueError):
+        word_count_factor(1, -1)
 
 
 def test_distribution_series_single_block():
