@@ -9,18 +9,23 @@ the maximum letter.
 Words are tuples of ints.  Enumeration is iterative, streaming and
 lexicographic, with word length bound by ``MAX_WORD_LENGTH``, not by the
 recursion limit; generators yield fresh tuples, storable without copying.
+The last three letters of a word (the last one once n > 120, so that long
+words still stream) depend only on the largest letter before them (Knuth,
+TAOCP 4A, 7.2.1.5).  So every stream walks only the prefixes before them
+and takes those letters from a table made once per call for each largest
+letter up to 9, or walked afresh past it: a word is one tuple addition of a
+prefix and a tail.
 
 Text form: a word prints as a bare digit string when its largest letter is at
 most 9 (e.g. ``12231``) and as comma-separated integers otherwise.
-:func:`lines` streams that text for a whole listing from the same walk.
-The last few letters of a word depend only on the largest letter before
-them (Knuth, TAOCP 4A, 7.2.1.5), so their text is made once per listing for
-each such letter, and the walk visits only the prefixes before them: the
-digit words after one prefix are formatted as one chunk.
+:func:`lines` streams that text for a whole listing from the same prefixes
+and tails: the text of a tail is made once per listing, and the digit words
+after one prefix are formatted as one chunk.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
@@ -103,9 +108,11 @@ def from_blocks(blocks: Sequence[Iterable[int]]) -> Word:
 
 
 def _walk(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterator[Word]:
-    """Completions of ``word[:i]`` (maximum ``biggest``) to restricted growth
-    strings with largest letter in ``low..high``, in lexicographic order; one
-    must exist.  Each yield is a fresh tuple of the shared buffer ``word``."""
+    """Completions of a prefix with largest letter ``biggest``, written over
+    ``word[i:]``, to restricted growth strings with largest letter in
+    ``low..high``, in lexicographic order; one must exist.  ``word[:i]`` is
+    only copied into the yields, and may be empty.  Each yield is a fresh
+    tuple of the shared buffer ``word``."""
     last = len(word) - 1
     if i > last:
         yield tuple(word)
@@ -133,6 +140,54 @@ def _walk(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterato
         t += 1
 
 
+# Largest letter b of a prefix whose tails _split keeps.  About b**3
+# three-letter tails follow such a prefix; for all b <= 9 they number at
+# most 3,195, where keeping them for b = 100 would take a million tuples.
+_TABLE_MAX = 9
+
+
+def _split(word: list[int], i: int, biggest: int, low: int,
+           high: int) -> tuple[int, Iterator[Word], Callable[[int], Iterable[Word]]]:
+    """The completions that ``_walk(word, i, biggest, low, high)`` yields, as
+    prefixes followed by tails.
+
+    Cuts the buffer ``word`` to the prefix length n - depth, where depth is
+    3 letters (1 once n > 120, so that long words still stream) but never
+    reaches into ``word[:i]``, and returns ``(depth, prefixes, tails)``:
+    ``prefixes`` walks the prefixes in ``word`` and ``tails(b)`` gives, in
+    order, the depth-letter completions of a prefix whose largest letter is
+    ``b``, which depend on nothing else (Knuth, TAOCP 4A, 7.2.1.5).  They are
+    walked once per call for each b up to ``_TABLE_MAX`` and kept, and
+    walked afresh for each prefix past it.
+    """
+    n = len(word)
+    depth = min(3 if n <= 120 else 1, n - i)
+    del word[n - depth:]
+    table: dict[int, list[Word]] = {}
+
+    def tails(b: int) -> Iterable[Word]:
+        found = table.get(b)
+        if found is None:
+            found = _walk([1] * depth, 0, b, low, high)
+            if b <= _TABLE_MAX:
+                found = table[b] = list(found)
+        return found
+
+    # a prefix may miss low by as many letters as its tail adds
+    return depth, _walk(word, i, biggest, max(low - depth, 1), high), tails
+
+
+def _words(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterator[Word]:
+    """What ``_walk(word, i, biggest, low, high)`` yields, each word one
+    tuple addition of a prefix and a tail."""
+    _, prefixes, tails = _split(word, i, biggest, low, high)
+
+    def after(prefix: Word) -> Iterator[Word]:
+        return map(prefix.__add__, tails(max(prefix)))
+
+    return chain.from_iterable(map(after, prefixes))
+
+
 def _letter_range(n: int, k: int | None) -> tuple[int, int]:
     """Bounds on the largest letter of the length-``n`` words with ``k``
     blocks, or with any number of blocks when ``k`` is None."""
@@ -153,7 +208,7 @@ def iterate_all(n: int) -> Iterator[Word]:
     >>> list(iterate_all(3))
     [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (1, 2, 3)]
     """
-    return _walk([1] * n, 1, 1, *_letter_range(n, None))
+    return _words([1] * n, 1, 1, *_letter_range(n, None))
 
 
 def iterate_with_k(n: int, k: int) -> Iterator[Word]:
@@ -165,7 +220,7 @@ def iterate_with_k(n: int, k: int) -> Iterator[Word]:
     >>> list(iterate_with_k(4, 4))
     [(1, 2, 3, 4)]
     """
-    return _walk([1] * n, 1, 1, *_letter_range(n, k))
+    return _words([1] * n, 1, 1, *_letter_range(n, k))
 
 
 def complete_prefix(prefix: Sequence[int], n: int) -> Iterator[Word]:
@@ -175,7 +230,7 @@ def complete_prefix(prefix: Sequence[int], n: int) -> Iterator[Word]:
     p = validate(prefix)
     if not len(p) <= n <= MAX_WORD_LENGTH:
         raise ValueError(f"need len(prefix) <= n <= {MAX_WORD_LENGTH} (word-length budget), got len(prefix)={len(p)}, n={n}")
-    return _walk(list(p) + [1] * (n - len(p)), len(p), max(p), 1, n)
+    return _words(list(p) + [1] * (n - len(p)), len(p), max(p), 1, n)
 
 
 def split_by_prefix(n: int, depth: int) -> list[tuple[Word, Iterator[Word]]]:
@@ -225,43 +280,34 @@ def _letter_bytes(word: Sequence[int]) -> bytes | None:
         return None
 
 
-def _chunks(head: list[int], depth: int, low: int, high: int) -> Iterator[str]:
-    """The text of :func:`lines`, from a walk of the prefixes in the buffer
-    ``head``, which is ``depth`` letters shorter than the words."""
+def _chunks(head: list[int], low: int, high: int) -> Iterator[str]:
+    """The text of :func:`lines`, from the prefixes and tails of a walk of
+    the words in the buffer ``head``."""
+    depth, prefixes, tails = _split(head, 1, 1, low, high)
     m = len(head)
-    # per largest letter b of a prefix: the text of its completions when
-    # none can pass letter 9, else their letters
-    tails: dict[int, list] = {}
-    # A prefix may miss low by as many letters as its completions add.  Its
-    # tuple goes as soon as it is read as bytes, so that a long word is
-    # formatted beside no copy of its prefix.
-    for data in map(_letter_bytes, _walk(head, 1, 1, max(low - depth, 1), high)):
+    # per largest letter b of a prefix whose completions print as digits:
+    # the text of its tails
+    texts: dict[int, list[str]] = {}
+    # A prefix tuple goes as soon as it is read as bytes, so that a long word
+    # is formatted beside no copy of its prefix.
+    for data in map(_letter_bytes, prefixes):
         # A prefix holds every letter from 1 to its largest, b, and its
         # completions reach at most b + depth, so byte searches tell whether
         # they all print as digits and, if so, find b.
-        digits = data is not None and 10 - depth not in data
-        if digits:
+        if data is not None and 10 - depth not in data:
             b = 9 - depth
             while b not in data:
                 b -= 1
-        else:
-            b = max(head)
-        if b not in tails:
-            # the completions depend only on b, so those of the first prefix
-            # with largest letter b serve every later one.  Words are built
-            # at the end of head and cut off before the prefix walk resumes.
-            head += [1] * depth
-            found = [word[m:] for word in _walk(head, m, b, low, high)]
-            del head[m:]
-            if digits:
-                found = [bytes(tail).translate(_DIGITS).decode("ascii") + "\n" for tail in found]
-            tails[b] = found
-        if digits:
+            found = texts.get(b)
+            if found is None:
+                found = texts[b] = [bytes(tail).translate(_DIGITS).decode("ascii") + "\n" for tail in tails(b)]
             text = data.translate(_DIGITS).decode("ascii")
-            yield text + text.join(tails[b])
+            yield text + text.join(found)
         else:
-            # a completion may reach letter 10, which prints with commas
-            for tail in tails[b]:
+            # a completion may reach letter 10, which prints with commas;
+            # words are built at the end of head and cut off before the
+            # prefix walk resumes
+            for tail in tails(max(head)):
                 head[m:] = tail
                 yield format_word(head) + "\n"
             del head[m:]
@@ -281,9 +327,7 @@ def lines(n: int, k: int | None = None) -> Iterator[str]:
     >>> list(lines(3, 3))
     ['123\\n']
     """
-    low, high = _letter_range(n, k)
-    depth = min(3 if n <= 120 else 1, n - 1)
-    return _chunks([1] * (n - depth), depth, low, high)
+    return _chunks([1] * n, *_letter_range(n, k))
 
 
 def parse_word(text: str) -> Word:

@@ -5,6 +5,7 @@ computation); these tests pin both the oracles and the closed forms to that
 frozen output.  Full-depth re-enumeration lives in the acceptance suite; here
 the oracle side is re-run only on the cheap prefix of each file.
 """
+import importlib.util
 from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from seprec.oracle import brute_distribution_a, brute_total_nk
 from seprec.series import distribution_series
 
 GOLDEN = Path(__file__).parent / "golden"
+REGEN = Path(__file__).resolve().parent.parent / "scripts" / "regen_goldens.py"
 
 
 def load_lines(name):
@@ -66,3 +68,33 @@ def test_pfd_file_matches_both_routes():
         closed, via_residues = tables[k]
         assert closed.row(m) == want
         assert via_residues.row(m) == want
+
+
+def _regen_script():
+    spec = importlib.util.spec_from_file_location("regen_goldens", REGEN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_goldens_regenerate_byte_identical(capsys):
+    # the oracle routes, run in full, still write every golden file as frozen
+    assert _regen_script().main(["--check"]) == 0
+    assert capsys.readouterr().out.count("unchanged: ") == 3
+
+
+def test_regen_check_names_each_golden_that_would_change_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    script = _regen_script()
+    monkeypatch.setattr(script, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(script, "targets", lambda: {"same.txt": ["1 1 0"], "edited.txt": ["1 1 0"], "missing.txt": ["1"]})
+    (tmp_path / "same.txt").write_text("1 1 0\n")
+    (tmp_path / "edited.txt").write_text("1 1 1\n")
+    assert script.main(["--check"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        f"unchanged: {tmp_path / 'same.txt'} (1 lines)",
+        f"would change: {tmp_path / 'edited.txt'} (1 lines)",
+        f"would change: {tmp_path / 'missing.txt'} (1 lines)",
+    ]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["edited.txt", "same.txt"]
+    assert (tmp_path / "edited.txt").read_text() == "1 1 1\n"

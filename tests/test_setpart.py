@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -192,6 +193,56 @@ def test_generators_match_a_filter_of_all_words():
         for depth in range(1, n + 1):
             for prefix in sorted({w[:depth] for w in want}):
                 assert list(complete_prefix(prefix, n)) == [w for w in want if w[:depth] == prefix]
+
+
+def _grown_words(n, k=None, prefix=(1,)):
+    """Restricted growth strings of length n that start with prefix and have
+    largest letter k (any when None), in lexicographic order: a recursion on
+    the next letter that calls nothing in setpart."""
+    def grow(word, biggest):
+        if len(word) == n:
+            if k is None or biggest == k:
+                yield tuple(word)
+            return
+        if k is not None and k - biggest > n - len(word):
+            return  # too few letters left to reach k
+        for v in range(1, min(biggest + 1, k or n) + 1):
+            word.append(v)
+            yield from grow(word, max(biggest, v))
+            word.pop()
+    return grow(list(prefix), max(prefix))
+
+
+def test_generators_match_a_recursion_past_the_tail_table():
+    # tails are kept after prefixes whose largest letter is at most 9, and
+    # walked per prefix past it: at n = 13 the first ten letters reach 10
+    for n in range(9, 14):
+        for k in range(max(9, n - 3), n + 1):
+            assert list(iterate_with_k(n, k)) == list(_grown_words(n, k)), (n, k)
+    n = 13
+    for length in range(n - 3, n + 1):
+        for prefix in (p for k in range(10, length + 1) for p in _grown_words(length, k)):
+            assert list(complete_prefix(prefix, n)) == list(_grown_words(n, prefix=prefix)), prefix
+
+
+@pytest.mark.parametrize("make, first_two", [
+    (lambda: complete_prefix(tuple(range(1, 101)), 120),
+     [tuple(range(1, 101)) + (1,) * 20, tuple(range(1, 101)) + (1,) * 19 + (2,)]),
+    (lambda: iterate_with_k(120, 60),
+     [(1,) * 61 + tuple(range(2, 61)), (1,) * 60 + (2, 1) + tuple(range(3, 61))]),
+], ids=["complete_prefix", "iterate_with_k"])
+def test_first_words_past_the_tail_table_take_little_memory(make, first_two):
+    # about b**3 three-letter tails follow a prefix with largest letter b;
+    # past b = 9 they are walked per prefix, not kept
+    tracemalloc.start()
+    try:
+        words = make()
+        got = [next(words), next(words)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == first_two
+    assert peak < 2**20
 
 
 def test_long_words_stream_past_the_recursion_limit():
