@@ -211,7 +211,12 @@ def _cmd_series(args, out: TextIO) -> int:
 def _cmd_asym(args, out: TextIO) -> int:
     if args.literal:
         print(LITERAL_WARNING, file=sys.stderr)
-    ns = [int(part) for part in args.n_list.split(",") if part.strip()]
+    ns = []
+    for part in filter(None, map(str.strip, args.n_list.split(","))):
+        try:
+            ns.append(int(part))
+        except ValueError:
+            raise ValueError(f"--n-list: not an integer: {part!r}") from None
     if not ns:
         raise ValueError("empty --n-list")
     reports = asymptotics.sweep(ns, literal=args.literal)
@@ -339,7 +344,9 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed stdout, or its file refused a write.  Point stdout
         # at the null device, so that the flushes still to come, in detach and
         # at exit, cannot fail again and print a traceback.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
         if isinstance(exc, BrokenPipeError):
             return 141
         print(f"seprec: error: cannot write stdout: {exc}", file=sys.stderr)

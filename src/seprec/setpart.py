@@ -14,17 +14,19 @@ words still stream) depend only on the largest letter before them (Knuth,
 TAOCP 4A, 7.2.1.5).  So every stream walks only the prefixes before them
 and takes those letters from a table made once per call for each largest
 letter up to 9, or walked afresh past it: a word is one tuple addition of a
-prefix and a tail.
+prefix and a tail.  The walk yields each prefix with its largest letter,
+which it tracks anyway, so no stream looks for that letter again.
 
 Text form: a word prints as a bare digit string when its largest letter is at
 most 9 (e.g. ``12231``) and as comma-separated integers otherwise.
 :func:`lines` streams that text for a whole listing from the same prefixes
 and tails: the text of a tail is made once per listing, and the digit words
-after one prefix are formatted as one chunk.
+after one prefix are formatted as one chunk.  Whether they all print as
+digits it reads from the prefix's largest letter.
 """
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, starmap
 from typing import Callable, Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -107,15 +109,16 @@ def from_blocks(blocks: Sequence[Iterable[int]]) -> Word:
     return validate(word)
 
 
-def _walk(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterator[Word]:
+def _walk(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterator[tuple[Word, int]]:
     """Completions of a prefix with largest letter ``biggest``, written over
     ``word[i:]``, to restricted growth strings with largest letter in
     ``low..high``, in lexicographic order; one must exist.  ``word[:i]`` is
-    only copied into the yields, and may be empty.  Each yield is a fresh
-    tuple of the shared buffer ``word``."""
+    only copied into the yields, and may be empty.  Each yield is a pair: a
+    fresh tuple of the shared buffer ``word`` and the largest letter of the
+    completed word, ``biggest`` included, which the walk tracks anyway."""
     last = len(word) - 1
     if i > last:
-        yield tuple(word)
+        yield tuple(word), biggest
         return
     top = [biggest] * (last + 1)  # top[t] = max(word[:t]) for t >= i
     t = i
@@ -128,7 +131,7 @@ def _walk(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterato
         b = top[last]
         for v in range(1 if b >= low else low, (b + 1 if b < high else high) + 1):
             word[last] = v
-            yield tuple(word)
+            yield tuple(word), b if v <= b else v
         # carry: the rightmost letter before the last that can still grow
         t = last - 1
         while t >= i and (word[t] > top[t] or word[t] >= high):
@@ -147,18 +150,20 @@ _TABLE_MAX = 9
 
 
 def _split(word: list[int], i: int, biggest: int, low: int,
-           high: int) -> tuple[int, Iterator[Word], Callable[[int], Iterable[Word]]]:
+           high: int) -> tuple[int, Iterator[tuple[Word, int]], Callable[[int], Iterable[Word]]]:
     """The completions that ``_walk(word, i, biggest, low, high)`` yields, as
     prefixes followed by tails.
 
     Cuts the buffer ``word`` to the prefix length n - depth, where depth is
     3 letters (1 once n > 120, so that long words still stream) but never
     reaches into ``word[:i]``, and returns ``(depth, prefixes, tails)``:
-    ``prefixes`` walks the prefixes in ``word`` and ``tails(b)`` gives, in
-    order, the depth-letter completions of a prefix whose largest letter is
-    ``b``, which depend on nothing else (Knuth, TAOCP 4A, 7.2.1.5).  They are
-    walked once per call for each b up to ``_TABLE_MAX`` and kept, and
-    walked afresh for each prefix past it.
+    ``prefixes`` walks the prefixes in ``word``, each with its largest
+    letter b, and ``tails(b)`` gives, in order, the depth-letter completions
+    of a prefix whose largest letter is b, which depend on nothing else
+    (Knuth, TAOCP 4A, 7.2.1.5): those of ``_walk([1] * depth, 0, b, low,
+    high)`` without their largest letters.  They are walked once per call
+    for each b up to ``_TABLE_MAX`` and kept, and walked afresh for each
+    prefix past it.
     """
     n = len(word)
     depth = min(3 if n <= 120 else 1, n - i)
@@ -168,7 +173,7 @@ def _split(word: list[int], i: int, biggest: int, low: int,
     def tails(b: int) -> Iterable[Word]:
         found = table.get(b)
         if found is None:
-            found = _walk([1] * depth, 0, b, low, high)
+            found = (tail for tail, _ in _walk([1] * depth, 0, b, low, high))
             if b <= _TABLE_MAX:
                 found = table[b] = list(found)
         return found
@@ -178,14 +183,14 @@ def _split(word: list[int], i: int, biggest: int, low: int,
 
 
 def _words(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterator[Word]:
-    """What ``_walk(word, i, biggest, low, high)`` yields, each word one
+    """The words that ``_walk(word, i, biggest, low, high)`` yields, each one
     tuple addition of a prefix and a tail."""
     _, prefixes, tails = _split(word, i, biggest, low, high)
 
-    def after(prefix: Word) -> Iterator[Word]:
-        return map(prefix.__add__, tails(max(prefix)))
+    def after(prefix: Word, b: int) -> Iterator[Word]:
+        return map(prefix.__add__, tails(b))
 
-    return chain.from_iterable(map(after, prefixes))
+    return chain.from_iterable(starmap(after, prefixes))
 
 
 def _letter_range(n: int, k: int | None) -> tuple[int, int]:
@@ -272,42 +277,30 @@ def format_word(word: Sequence[int]) -> str:
     return ("" if max(word) <= 9 else ",").join(map(str, word))
 
 
-def _letter_bytes(word: Sequence[int]) -> bytes | None:
-    """The letters of ``word`` as bytes, or None when one is past 255."""
-    try:
-        return bytes(word)
-    except ValueError:
-        return None
-
-
 def _chunks(head: list[int], low: int, high: int) -> Iterator[str]:
     """The text of :func:`lines`, from the prefixes and tails of a walk of
-    the words in the buffer ``head``."""
+    the words in the buffer ``head``.  The completions of a prefix with
+    largest letter b reach at most b + depth, so they all print as digits
+    when that is at most 9."""
     depth, prefixes, tails = _split(head, 1, 1, low, high)
     m = len(head)
     # per largest letter b of a prefix whose completions print as digits:
-    # the text of its tails
+    # the text of its tails, walked here and not kept as tuples in _split
     texts: dict[int, list[str]] = {}
-    # A prefix tuple goes as soon as it is read as bytes, so that a long word
-    # is formatted beside no copy of its prefix.
-    for data in map(_letter_bytes, prefixes):
-        # A prefix holds every letter from 1 to its largest, b, and its
-        # completions reach at most b + depth, so byte searches tell whether
-        # they all print as digits and, if so, find b.
-        if data is not None and 10 - depth not in data:
-            b = 9 - depth
-            while b not in data:
-                b -= 1
+    for prefix, b in prefixes:
+        if b + depth <= 9:
             found = texts.get(b)
             if found is None:
-                found = texts[b] = [bytes(tail).translate(_DIGITS).decode("ascii") + "\n" for tail in tails(b)]
-            text = data.translate(_DIGITS).decode("ascii")
+                found = texts[b] = [bytes(tail).translate(_DIGITS).decode("ascii") + "\n"
+                                    for tail, _ in _walk([1] * depth, 0, b, low, high)]
+            text = bytes(prefix).translate(_DIGITS).decode("ascii")
             yield text + text.join(found)
         else:
             # a completion may reach letter 10, which prints with commas;
-            # words are built at the end of head and cut off before the
-            # prefix walk resumes
-            for tail in tails(max(head)):
+            # words are built at the end of head, beside no copy of the
+            # prefix, and cut off before the prefix walk resumes
+            del prefix
+            for tail in tails(b):
                 head[m:] = tail
                 yield format_word(head) + "\n"
             del head[m:]

@@ -296,6 +296,19 @@ def test_enumerate_streams(argv, head):
         proc.wait()
 
 
+def test_enumerate_at_the_word_length_budget_stays_small():
+    # the one word 1,2,...,10**6 is formatted beside no copy of its prefix
+    proc = _start_measured_cli("enumerate", "--n", str(setpart.MAX_WORD_LENGTH), "--k", str(setpart.MAX_WORD_LENGTH))
+    try:
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert out == ",".join(map(str, range(1, setpart.MAX_WORD_LENGTH + 1))).encode() + b"\n"
+        assert int(err) < 140 * 1024  # peak RSS in KiB
+    finally:
+        proc.kill()
+        proc.wait()
+
+
 @pytest.mark.parametrize("k", [2, 500])
 def test_total_by_k_at_the_stirling_budget_stays_small(k):
     proc = _start_measured_cli("total", "--n", str(counting.MAX_STIRLING_N), "--k", str(k))
@@ -520,6 +533,27 @@ def test_closed_stdout_exits_141_without_traceback(argv, unbuffered, head):
         proc.wait()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_stdout_leaves_no_file_open():
+    # each call finds stdout a pipe whose reader has gone, and points it at
+    # the null device; the descriptor it opens for that must not stay open
+    script = ("import os, sys\nfrom seprec import cli\ncodes, fds = [], []\n"
+              "for _ in range(3):\n"
+              "    read, write = os.pipe()\n"
+              "    os.dup2(write, sys.stdout.fileno())\n"
+              "    os.close(read)\n"
+              "    os.close(write)\n"
+              "    fds.append(len(os.listdir('/proc/self/fd')))\n"
+              "    codes.append(cli.main(['total', '--n', '4']))\n"
+              "fds.append(len(os.listdir('/proc/self/fd')))\n"
+              "print(codes, len(set(fds)), file=sys.stderr)\n")
+    # stdout starts as a pipe too: a stream that found it seekable would not
+    # take the pipes put below it
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (proc.stdout, proc.stderr) == ("", "[141, 141, 141] 1\n")
+
+
 def test_stdout_has_one_path():
     # every print goes to stderr, nothing writes to sys.stdout itself, and
     # sys.stdout.buffer is named only in the one stream that main makes
@@ -733,6 +767,13 @@ def test_asym_csv_sweeps_once(capsys, monkeypatch):
     assert (code, seen) == (0, [50, 100])
     monkeypatch.undo()
     assert out == asymptotics.sweep_csv([50, 100])
+
+
+@pytest.mark.parametrize("n_list, part", [("x", "x"), ("50, 1e2", "1e2")], ids=["word", "float"])
+def test_asym_names_the_option_of_a_bad_n(capsys, n_list, part):
+    code, out, err = run_cli(capsys, "asym", "--n-list", n_list)
+    assert (code, out) == (2, "")
+    assert err == f"seprec: error: --n-list: not an integer: {part!r}\n"
 
 
 def test_asym_literal_warns(capsys):

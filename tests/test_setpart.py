@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -354,6 +356,16 @@ def test_lines_chunks_at_the_benchmark_size():
     # letter is 6: 6 * 50 + 65 = 365 completions of three letters, where
     # c(b) = b**2 + 2*b + 2 counts those of two letters after largest letter b
     assert max(chunk.count("\n") for chunk in lines(11)) == 6 * (6**2 + 2 * 6 + 2) + (7**2 + 2 * 7 + 2) == 365
+
+
+def test_lines_keep_each_tail_once():
+    # the tails of a digit prefix are kept as text only, not also as tuples;
+    # measured in a fresh process, where nothing else has been traced
+    script = ("import tracemalloc\nfrom seprec import setpart\ntracemalloc.start()\n"
+              "for _ in setpart.lines(11):\n    pass\nprint(tracemalloc.get_traced_memory()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 180 * 1024
 
 
 def test_lines_refuse_bad_sizes_like_the_tuple_generators():
