@@ -14,10 +14,10 @@ once; :func:`egf_coeffs` reproduces it through the exponential generating
 series.  The partial fraction table has both a closed form
 (:func:`pfd_coeffs`) and an exact residue oracle (:func:`pfd_oracle`).
 
-Nothing here touches floating point.  Tables and series are computed in
-integers, with one ``fractions.Fraction`` per rational coefficient over a
-denominator known in advance; only the probe evaluations
-(:func:`pfd_target_value`, :func:`pfd_value`) sum Fractions.
+Nothing here touches floating point.  Tables, series and the probe
+evaluations (:func:`pfd_target_value`, :func:`pfd_value`) are computed in
+integers, with one ``fractions.Fraction`` per rational coefficient or probe
+value, built at the end.
 """
 from __future__ import annotations
 
@@ -157,22 +157,35 @@ def pfd_target_value(k: int, y: Fraction) -> Fraction:
     y = Fraction(y)
     if y.denominator == 1 and 1 <= y.numerator <= k:
         raise ValueError(f"y = {y} is a pole")
-    s = Fraction(_record_offset_total(k))
-    p = Fraction(1)
+    # with y = u/v, y - i = d_i/v; the bracket is num/den with den = prod d_i
+    u, v = y.numerator, y.denominator
+    num, den = _record_offset_total(k), 1
     for i in range(1, k + 1):
-        s += Fraction((k - i) * i * (i + 1), 2) / (y - i)
-        p /= y - i
-    return s * p
+        d = u - i * v
+        num = num * d + (k - i) * i * (i + 1) // 2 * v * den
+        den *= d
+    return Fraction(num * v**k, den * den)
 
 
 def pfd_value(coeffs: PfdCoefficients, y: Fraction) -> Fraction:
-    """Evaluate the decomposition sum_m (a_m/(y-m)^2 + b_m/(y-m)) exactly."""
+    """Evaluate the decomposition sum_m (a_m/(y-m)^2 + b_m/(y-m)) exactly.
+
+    With y = u/v and L the lcm of the coefficients' denominators, the sum is
+    num/(den L) with den = prod (u - mv)^2, all in integers; a pole makes den
+    zero and raises ZeroDivisionError.
+    """
     y = Fraction(y)
-    total = Fraction(0)
+    u, v = y.numerator, y.denominator
+    scale = lcm(*(c.denominator for c in coeffs.a + coeffs.b))
+    num, den = 0, 1
     for m in range(1, coeffs.k + 1):
         am, bm = coeffs.row(m)
-        total += am / (y - m) ** 2 + bm / (y - m)
-    return total
+        d = u - m * v
+        term = (am.numerator * (scale // am.denominator) * v * v
+                + bm.numerator * (scale // bm.denominator) * v * d)
+        num = num * d * d + term * den
+        den *= d * d
+    return Fraction(num, den * scale)
 
 
 # pfd_coeffs(1600) takes 0.3 s.

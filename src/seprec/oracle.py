@@ -16,11 +16,18 @@ Golden text formats (stable, whitespace-separated, sorted):
 
 ``brute_totals_by_k`` is the one pass over all words of [n] behind the sep
 totals (``brute_total`` and ``totals_golden_lines`` read it): a depth-first
-census with one leaf per word, which sums nothing in closed form and keeps no
-cache.  ``brute_total_nk`` keeps its pruned per-cell stream through
-``stats.sep``: it is the reference for ``brute_totals_by_k`` per cell.
+census with one leaf per word, which sums nothing in closed form.  The
+one-worker census runs once per n in a process and is cached as a tuple;
+every call still returns a fresh dict.  ``brute_distributions`` is the one
+pass behind the ``sep_a`` distributions: a depth-first walk that carries the
+letter sum before each record, again with one leaf per word.  Neither walk
+uses ``setpart``'s generators.  ``brute_total_nk`` and
+``brute_distribution_a`` keep their pruned per-cell streams through
+``stats``: they are the references for the two walks per cell.
 """
 from __future__ import annotations
+
+from functools import cache
 
 from . import setpart, stats
 
@@ -59,7 +66,7 @@ def brute_totals_by_k(n: int, workers: int = 1) -> dict[int, int]:
 
     ``workers > 1`` hands the depth-4 prefixes to a process pool, at most one
     worker per prefix; the reduction is exact integer addition, so the result
-    does not depend on the worker count.
+    does not depend on the worker count.  The pool path is not cached.
     """
     if not 1 <= n <= MAX_TOTAL_N:
         raise ValueError(f"need 1 <= n <= {MAX_TOTAL_N}, got n={n}")
@@ -70,8 +77,14 @@ def brute_totals_by_k(n: int, workers: int = 1) -> dict[int, int]:
         with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as pool:
             totals = [sum(col) for col in zip(*pool.map(_census, prefixes, [n] * len(prefixes)))]
     else:
-        totals = _census((1,), n)
+        totals = _totals(n)
     return dict(enumerate(totals[1:], start=1))
+
+
+@cache
+def _totals(n: int) -> tuple[int, ...]:
+    """The one-worker census of [n], walked once per n in a process."""
+    return tuple(_census((1,), n))
 
 
 def _census(prefix: tuple[int, ...], n: int) -> list[int]:
@@ -120,6 +133,43 @@ def brute_distribution_a(n: int, k: int, a: int) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
+def brute_distributions(n: int) -> dict[tuple[int, int], dict[int, int]]:
+    """Every ``sep_a`` distribution of [n] from one walk over its words:
+    ``{(k, a): brute_distribution_a(n, k, a)}`` for 1 <= a <= k <= n.
+
+    A node carries (length, letter sum, the letter sum before each record so
+    far): a letter up to the max keeps the records, and the record max + 1
+    appends the letter sum before it.  The last letter is chosen in a loop,
+    one leaf per word, and each leaf counts its k values of ``sep_a``.
+
+    >>> brute_distributions(3)[2, 2]
+    {1: 2, 2: 1}
+    """
+    if not 1 <= n <= MAX_DIST_N:
+        raise ValueError(f"need 1 <= n <= {MAX_DIST_N}, got n={n}")
+    # cells[k][a - 1] counts sep_a over the words with k blocks
+    cells: list[list[dict[int, int]]] = [[{} for _ in range(k)] for k in range(n + 1)]
+
+    def tally(seps: tuple[int, ...]) -> None:
+        for cell, s in zip(cells[len(seps)], seps):
+            cell[s] = cell.get(s, 0) + 1
+
+    def walk(i: int, letters: int, seps: tuple[int, ...]) -> None:
+        biggest = len(seps)
+        if i == n - 1:
+            for _ in range(biggest):  # the words whose last letter repeats one
+                tally(seps)
+            tally(seps + (letters,))  # the word ending in a record
+            return
+        for v in range(1, biggest + 1):
+            walk(i + 1, letters + v, seps)
+        walk(i + 1, letters + biggest + 1, seps + (letters,))
+
+    walk(0, 0, ())  # from the empty word, whose first letter is its record 1
+    return {(k, a): dict(sorted(cell.items()))
+            for k in range(1, n + 1) for a, cell in enumerate(cells[k], start=1)}
+
+
 def totals_golden_lines(max_n: int = MAX_TOTAL_N) -> list[str]:
     """Frozen-format total lines ``n k total`` for 1 <= k <= n <= max_n."""
     lines = []
@@ -135,8 +185,7 @@ def distributions_golden_lines(max_n: int = MAX_DIST_N) -> list[str]:
     1 <= a <= k <= n <= max_n, with s ascending within each (n, k, a)."""
     lines = []
     for n in range(1, max_n + 1):
-        for k in range(1, n + 1):
-            for a in range(1, k + 1):
-                for s, count in brute_distribution_a(n, k, a).items():
-                    lines.append(f"{n} {k} {a} {s} {count}")
+        for (k, a), dist in brute_distributions(n).items():
+            for s, count in dist.items():
+                lines.append(f"{n} {k} {a} {s} {count}")
     return lines

@@ -274,7 +274,12 @@ def format_word(word: Sequence[int]) -> str:
     """
     if not word:
         raise ValueError("empty word")
-    return ("" if max(word) <= 9 else ",").join(map(str, word))
+    return _text(word, max(word))
+
+
+def _text(word: Sequence[int], biggest: int) -> str:
+    """Text form of a word whose largest letter is ``biggest``."""
+    return ("" if biggest <= 9 else ",").join(map(str, word))
 
 
 def _chunks(head: list[int], low: int, high: int) -> Iterator[str]:
@@ -302,7 +307,7 @@ def _chunks(head: list[int], low: int, high: int) -> Iterator[str]:
             del prefix
             for tail in tails(b):
                 head[m:] = tail
-                yield format_word(head) + "\n"
+                yield _text(head, max(b, *tail)) + "\n"
             del head[m:]
 
 

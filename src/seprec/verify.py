@@ -22,9 +22,12 @@ runs them:
 * ``integrality``  the Bell combination of the totals is divisible by 12, n <= 200;
 * ``rowsum``       the per-k totals sum to the Bell-number total, n <= 40.
 
-The fixed-range suites ignore ``max_n``.  ``totals`` and ``bell_total`` run
-the oracle's census in this process.  Dependencies are called through their
-modules, so patching a module attribute reaches the suites.
+The fixed-range suites ignore ``max_n``.  ``totals`` and ``bell_total`` read
+the oracle's census, which runs once per n in a process, so the second of
+them walks no word again; ``distribution`` reads one joint walk of the words
+of [n] per n.  ``pfd`` evaluates its probes in integers.  Dependencies are
+called through their modules, so patching a module attribute reaches the
+suites.
 """
 from __future__ import annotations
 
@@ -103,12 +106,11 @@ def distribution(max_n: int) -> tuple[bool, str]:
     top = min(max_n, oracle.MAX_DIST_N)
     cells = 0
     for n in range(1, top + 1):
-        for k in range(1, n + 1):
-            for a in range(1, k + 1):
-                expanded = series.distribution_series(k, a, n).coefficient(n).to_dict()
-                if expanded != oracle.brute_distribution_a(n, k, a):
-                    return False, f"distribution mismatch at n={n} k={k} a={a}"
-                cells += 1
+        for (k, a), brute in oracle.brute_distributions(n).items():
+            expanded = series.distribution_series(k, a, n).coefficient(n).to_dict()
+            if expanded != brute:
+                return False, f"distribution mismatch at n={n} k={k} a={a}"
+            cells += 1
     return True, f"series coefficients match enumerated distributions on {cells} cells (n <= {top})"
 
 

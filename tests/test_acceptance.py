@@ -3,8 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criteria 01-08 run the ``seprec verify`` suites at the top of their
 ranges and add a few spot values and witnesses.  The ``totals_12`` fixture
-behind 01 and 04 and criterion 02 each run the oracle's census over the words
-of [n], n <= 12, about a second each.
+behind 01 and 04 runs the oracle's census over the words of [n], n <= 12, in
+about a second.  Criterion 02 reads the same census, which the oracle walks
+once per n in a process, so it walks no word again.
 """
 import math
 import subprocess

@@ -838,6 +838,16 @@ def test_verify_suite_fails_under_injected_fault(capsys, monkeypatch, suite):
     assert out.startswith(f"FAIL {suite}: ")
 
 
+def test_verify_totals_and_bell_total_share_one_census(capsys, monkeypatch):
+    sizes = []
+    census = oracle._census
+    monkeypatch.setattr(oracle, "_census", lambda prefix, n: sizes.append(n) or census(prefix, n))
+    oracle._totals.cache_clear()  # earlier tests may have walked these n already
+    code, _, _ = run_cli(capsys, "verify", "--suites", "totals,bell_total", "--max-n", "6")
+    assert code == 0
+    assert sizes == [1, 2, 3, 4, 5, 6]
+
+
 def test_verify_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "verify", "--max-n", "4")
     _, second, _ = run_cli(capsys, "verify", "--max-n", "4")

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from math import factorial
@@ -242,6 +243,50 @@ def test_pfd_reconstruction_at_negative_and_fractional_probes():
 def test_pfd_target_rejects_poles():
     with pytest.raises(ValueError):
         pfd_target_value(3, Fraction(2))
+
+
+def _target_by_fractions(k, y):
+    """F_k(y) summed term by term in Fractions, the form the integer
+    evaluation replaced."""
+    s = Fraction(k * (k + 1) * (k - 1), 6)
+    p = Fraction(1)
+    for i in range(1, k + 1):
+        s += Fraction((k - i) * i * (i + 1), 2) / (y - i)
+        p /= y - i
+    return s * p
+
+
+def _decomposition_by_fractions(table, y):
+    return sum((a / (y - m) ** 2 + b / (y - m)
+                for m, (a, b) in enumerate(zip(table.a, table.b), start=1)), Fraction(0))
+
+
+def test_pfd_probes_equal_fraction_sums_at_random_points():
+    rng = random.Random(25)
+    for k in range(1, 16):
+        tables = (pfd_coeffs(k), pfd_coeffs(k, literal=True))
+        # y = j/d, j in -7k..21k, d in 1-7: negative, between poles and past them
+        probes = [Fraction(rng.randint(-7 * k, 21 * k), rng.randint(1, 7)) for _ in range(30)]
+        probes += [Fraction(2 * m + 1, 2) for m in range(1, k)]  # midway between poles
+        for y in probes:
+            if y.denominator == 1 and 1 <= y <= k:
+                continue
+            want = _target_by_fractions(k, y)
+            assert pfd_target_value(k, y) == want, (k, y)
+            for table in tables:
+                assert pfd_value(table, y) == _decomposition_by_fractions(table, y), (k, y)
+            assert pfd_value(tables[0], y) == want, (k, y)
+
+
+def test_pfd_probes_raise_at_every_pole():
+    for k in range(1, 8):
+        table = pfd_coeffs(k)
+        for m in range(1, k + 1):
+            for y in (m, Fraction(m), Fraction(2 * m, 2)):
+                with pytest.raises(ValueError, match="is a pole"):
+                    pfd_target_value(k, y)
+                with pytest.raises(ZeroDivisionError):
+                    pfd_value(table, y)
 
 
 def test_pfd_golden_lines_format():

@@ -8,6 +8,7 @@ from seprec.oracle import (
     MAX_DIST_N,
     MAX_TOTAL_N,
     brute_distribution_a,
+    brute_distributions,
     brute_total,
     brute_total_nk,
     brute_totals_by_k,
@@ -124,6 +125,23 @@ def test_distribution_counts_sum_to_stirling():
                 dist = brute_distribution_a(n, k, a)
                 assert sum(dist.values()) == stirling2(n, k)
                 assert all(s >= 0 for s in dist)
+
+
+def test_distributions_match_per_cell():
+    for n in range(1, MAX_DIST_N + 1):
+        table = brute_distributions(n)
+        assert list(table) == [(k, a) for k in range(1, n + 1) for a in range(1, k + 1)]
+        for (k, a), dist in table.items():
+            assert dist == brute_distribution_a(n, k, a), (n, k, a)
+            assert list(dist) == sorted(dist)
+            assert sum(dist.values()) == stirling2(n, k)
+
+
+def test_distributions_range_guard():
+    with pytest.raises(ValueError):
+        brute_distributions(MAX_DIST_N + 1)
+    with pytest.raises(ValueError):
+        brute_distributions(0)
 
 
 def test_distribution_keys_sorted():
