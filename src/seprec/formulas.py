@@ -34,6 +34,12 @@ def _record_offset_total(k: int) -> int:
     return k * (k + 1) * (k - 1) // 6
 
 
+def _sep_weights(k: int) -> list[int]:
+    """The weight (k-i)i(i+1)/2 of each letter i = 0..k in the per-k totals
+    and their partial fractions, indexed by i (zero at i = 0 and i = k)."""
+    return [(k - i) * i * (i + 1) // 2 for i in range(k + 1)]
+
+
 def total_sep_nk(n: int, k: int) -> int:
     """Total of sep over all partitions of [n] with exactly ``k`` blocks:
 
@@ -54,12 +60,13 @@ def total_sep_nk(n: int, k: int) -> int:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     column = stirling2_column(k, n)
+    weights = _sep_weights(k)
     total = column[n] * _record_offset_total(k)
     for i in range(1, k):
         geom = 0
         for s in column[k:n]:  # S(n-j, k) for j = n-k down to 1
             geom = geom * i + s
-        total += (k - i) * i * (i + 1) // 2 * geom
+        total += weights[i] * geom
     return total
 
 
@@ -68,6 +75,16 @@ def total_sep_nk(n: int, k: int) -> int:
 # (counting.bell_combination).  total_sep_n reads B_n..B_{n+3}, so the budget
 # is the Bell budget less 3.
 MAX_BELL_TOTAL_N = MAX_BELL_N - 3
+
+
+def bell_total_row(n: int) -> tuple[int, ...]:
+    """The coefficients c_0..c_3 of twelve times the Bell-number total,
+    12 * total_sep_n(n) = sum_h c_h B_{n+h}.
+
+    >>> bell_total_row(1)
+    (-7, -19, -3, 4)
+    """
+    return -(6 * n + 1), -(6 * n + 13), -3, 4
 
 
 def total_sep_n(n: int) -> int:
@@ -83,7 +100,7 @@ def total_sep_n(n: int) -> int:
     """
     if not 1 <= n <= MAX_BELL_TOTAL_N:
         raise ValueError(f"need 1 <= n <= {MAX_BELL_TOTAL_N}, got {n}")
-    total, rest = divmod(bell_combination(n, (-(6 * n + 1), -(6 * n + 13), -3, 4)), 12)
+    total, rest = divmod(bell_combination(n, bell_total_row(n)), 12)
     if rest:
         raise ArithmeticError(f"Bell-number total for n={n} is not an integer: {total} + {rest}/12")
     return total
@@ -119,10 +136,10 @@ def rational_series_totals(k: int, order: int) -> list[int]:
     for i in range(1, k + 1):
         _over_one_minus(base, i)
     out = [0] * k + [_record_offset_total(k) * b for b in base]
+    weights = _sep_weights(k)
     for i in range(1, k):
-        c = (k - i) * i * (i + 1) // 2
         for m, g in enumerate(_over_one_minus(base[:-1], i), start=k + 1):
-            out[m] += c * g
+            out[m] += weights[i] * g
     return out
 
 
@@ -160,9 +177,10 @@ def pfd_target_value(k: int, y: Fraction) -> Fraction:
     # with y = u/v, y - i = d_i/v; the bracket is num/den with den = prod d_i
     u, v = y.numerator, y.denominator
     num, den = _record_offset_total(k), 1
+    weights = _sep_weights(k)
     for i in range(1, k + 1):
         d = u - i * v
-        num = num * d + (k - i) * i * (i + 1) // 2 * v * den
+        num = num * d + weights[i] * v * den
         den *= d
     return Fraction(num * v**k, den * den)
 
@@ -251,9 +269,10 @@ def pfd_oracle(k: int) -> PfdCoefficients:
     if not 1 <= k <= MAX_PFD_ORACLE_K:
         raise ValueError(f"need 1 <= k <= {MAX_PFD_ORACLE_K}, got {k}")
     scale = lcm(*range(1, k))  # lcm() of nothing is 1
+    weights = _sep_weights(k)
     a_row, b_row = [], []
     for m in range(1, k + 1):
-        a_at_m = (k - m) * m * (m + 1) // 2
+        a_at_m = weights[m]
         a_deriv = scale * _record_offset_total(k)  # L A'(m)
         b_at_m = 1
         b_log_deriv = 0  # L B'(m)/B(m)
@@ -261,7 +280,7 @@ def pfd_oracle(k: int) -> PfdCoefficients:
             if i == m:
                 continue
             share = scale // (m - i)
-            a_deriv += (k - i) * i * (i + 1) // 2 * share
+            a_deriv += weights[i] * share
             b_at_m *= m - i
             b_log_deriv += share
         a_row.append(Fraction(a_at_m, b_at_m))

@@ -142,7 +142,7 @@ def egf(max_n: int) -> tuple[bool, str]:
 def integrality(max_n: int) -> tuple[bool, str]:
     b = counting.bell_numbers(203)
     for n in range(1, 201):
-        value = 4 * b[n + 3] - 3 * b[n + 2] - (6 * n + 13) * b[n + 1] - (6 * n + 1) * b[n]
+        value = sum(c * b[n + h] for h, c in enumerate(formulas.bell_total_row(n)))
         if value % 12 != 0:
             return False, f"integrality combination not divisible by 12 at n={n}"
     return True, "Bell combination divisible by 12 (n <= 200)"

@@ -1,10 +1,8 @@
 import ast
 import contextlib
 import csv
-import functools
 import hashlib
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -73,7 +71,8 @@ def test_enumerate_json_count_builds_no_stirling_table(capsys):
     assert "budget" in err and err.count("\n") == 1
 
 
-def test_enumerate_one_long_word(capsys):
+@pytest.mark.listings(*((n, k, fmt) for n, k in ((300, 300), (12, 10)) for fmt in ("plain", "json", "csv")))
+def test_enumerate_one_long_word(capsys, reference):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "1000", "--k", "1000")
     assert code == 0
     assert out == ",".join(map(str, range(1, 1001))) + "\n"
@@ -82,154 +81,10 @@ def test_enumerate_one_long_word(capsys):
         for fmt in ("plain", "json", "csv"):
             code, out, _ = run_cli(capsys, "enumerate", "--n", str(n), "--k", str(k), "--format", fmt)
             assert code == 0
-            assert out == _listing(fmt, n, k), (n, k, fmt)
+            assert (len(out), hashlib.sha256(out.encode()).hexdigest()) == reference.listing(n)[k][fmt], (n, k, fmt)
 
 
-def _word_text(word):
-    """Text form of a word, built apart from setpart.format_word."""
-    if max(word) <= 9:
-        return "%d" * len(word) % word
-    return ",".join(map(str, word))
-
-
-def _grown(text, top):
-    """Each canonical word one letter longer, as (text, largest letter), given
-    a word's text and largest letter: the letters 1..top+1 in order.  The text
-    takes commas once a letter passes 9."""
-    for a in range(1, top + 2):
-        if top > 9:
-            yield text + ",%d" % a, max(top, a)
-        elif a > 9:
-            yield ",".join(text) + ",%d" % a, a
-        else:
-            yield text + "%d" % a, max(top, a)
-
-
-def _grown_texts(text, top):
-    """The texts alone of the words that ``_grown`` yields."""
-    if top < 9:  # no letter passes 9
-        return [text + digit for digit in "123456789"[:top + 1]]
-    return [longer for longer, _ in _grown(text, top)]
-
-
-def _canonical_words(n):
-    """Functions that count the canonical words of length n >= 2 and stream
-    their texts in lexicographic order, built apart from setpart: the
-    (text, largest letter) pairs of length n - 2 are kept, and the last two
-    letters are streamed."""
-    pairs = [("", 0)]
-    for _ in range(n - 2):
-        pairs = [longer for pair in pairs for longer in _grown(*pair)]
-
-    def count():
-        return sum(top + 1 for pair in pairs for _, top in _grown(*pair))
-
-    def texts():
-        return (text for pair in pairs for longer in _grown(*pair) for text in _grown_texts(*longer))
-
-    return count, texts
-
-
-class _Words(list):
-    """A list that json encodes from a fresh stream of ``texts()`` (json takes
-    no generator), so that a long listing is never held whole."""
-
-    def __init__(self, texts):
-        super().__init__()
-        self._texts = texts
-
-    def __bool__(self):
-        return True
-
-    def __iter__(self):
-        return self._texts()
-
-
-def _listed_words(n, k):
-    """Functions that count the words that ``enumerate`` lists and stream
-    their texts."""
-    if k is None:
-        return _canonical_words(n)
-
-    def count():
-        return sum(1 for _ in setpart.iterate_with_k(n, k))
-
-    def texts():
-        return map(_word_text, setpart.iterate_with_k(n, k))
-
-    return count, texts
-
-
-def _write_listing(out, fmt, n, k):
-    """Write the enumerate listing to ``out``, composed by json, csv or plain
-    lines from each word's text, as a reference for the CLI's listing."""
-    count, texts = _listed_words(n, k)
-    if fmt == "plain":
-        out.writelines(w + "\n" for w in texts())
-    elif fmt == "json":
-        envelope = {"command": "enumerate", "params": {"n": n, "k": k},
-                    "result": {"count": count(), "words": _Words(texts)}}
-        json.dump(envelope, out, sort_keys=True, indent=2)
-        out.write("\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["word"])
-        writer.writerows(zip(texts()))
-
-
-def _listing(fmt, n, k):
-    """The reference listing as one string."""
-    buf = io.StringIO()
-    _write_listing(buf, fmt, n, k)
-    return buf.getvalue()
-
-
-class _HashSink(io.RawIOBase):
-    """Binary sink that keeps only the sha256 and the size of what it takes."""
-
-    def __init__(self):
-        self.sha, self.size = hashlib.sha256(), 0
-
-    def writable(self):
-        return True
-
-    def write(self, data):
-        self.sha.update(data)
-        self.size += len(data)
-        return len(data)
-
-
-def _digest(write):
-    """The value of ``write(stream)``, and the size and sha256 of the text it
-    wrote to the text stream."""
-    sink = _HashSink()
-    stream = io.TextIOWrapper(io.BufferedWriter(sink), encoding="ascii", newline="\n")
-    value = write(stream)
-    stream.flush()
-    return value, sink.size, sink.sha.hexdigest()
-
-
-@functools.cache
-def _plain_and_csv_digests(n, k):
-    """What ``_digest`` gives for the plain and for the csv reference listing,
-    by format, both written from one walk of the words: the two differ only by
-    csv's header and the quotes around a comma word."""
-    sinks = {"plain": _HashSink(), "csv": _HashSink()}
-    plain, table = (io.TextIOWrapper(io.BufferedWriter(sink), encoding="ascii", newline="\n")
-                    for sink in sinks.values())
-    writer = csv.writer(table, lineterminator="\n")
-    writer.writerow(["word"])
-    texts = _listed_words(n, k)[1]()
-    for batch in iter(lambda: list(itertools.islice(texts, 4096)), []):
-        plain.write("\n".join(batch) + "\n")
-        writer.writerows(zip(batch))
-    plain.flush()
-    table.flush()
-    return {fmt: (None, sink.size, sink.sha.hexdigest()) for fmt, sink in sinks.items()}
-
-
-@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-@pytest.mark.parametrize("n, k, chars_per_write", [
+_WRITE_CHUNK_CASES = [
     (9, None, None),  # the plain B_9 listing makes 211,470 characters, four writes
     (9, 4, None),
     (8, None, 5),  # every write is longer than a chunk and goes out alone
@@ -238,8 +93,13 @@ def _plain_and_csv_digests(n, k):
     (10, 10, 5),  # csv quotes the one word, 1,2,...,10
     (11, 10, 5),  # comma words only, one per chunk
     (12, None, None),  # digit words then comma words, within and across the chunks of one prefix
-])
-def test_enumerate_across_write_chunks(monkeypatch, fmt, n, k, chars_per_write):
+]
+
+
+@pytest.mark.listings(*((n, k, fmt) for n, k, _ in _WRITE_CHUNK_CASES for fmt in ("plain", "json", "csv")))
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("n, k, chars_per_write", _WRITE_CHUNK_CASES)
+def test_enumerate_across_write_chunks(monkeypatch, reference, fmt, n, k, chars_per_write):
     if chars_per_write is not None:
         monkeypatch.setattr(cli, "_CHARS_PER_WRITE", chars_per_write)
     argv = ["enumerate", "--n", str(n), "--format", fmt] + ([] if k is None else ["--k", str(k)])
@@ -249,14 +109,10 @@ def test_enumerate_across_write_chunks(monkeypatch, fmt, n, k, chars_per_write):
         monkeypatch.setattr(sys, "stdout", stream)
         return cli.main(argv)
 
-    code, size, sha = _digest(run)
+    code, size, sha = reference.digest(run)
     assert code == 0
     assert size > cli._CHARS_PER_WRITE
-    if fmt == "json":
-        want = _digest(lambda stream: _write_listing(stream, fmt, n, k))
-    else:
-        want = _plain_and_csv_digests(n, k)[fmt]
-    assert want == (None, size, sha)
+    assert (size, sha) == reference.listing(n)[k][fmt]
 
 
 # Runs the CLI in a child that prints its peak RSS in KiB to stderr after the
@@ -604,12 +460,12 @@ _BENCH_DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" /
 
 
 @pytest.mark.parametrize("command", sorted(_BENCH_DIGESTS))
-def test_output_matches_the_benchmark_digest(monkeypatch, command):
+def test_output_matches_the_benchmark_digest(monkeypatch, reference, command):
     def run(stream):
         monkeypatch.setattr(sys, "stdout", stream)
         return cli.main(command.split())
 
-    code, _, sha = _digest(run)
+    code, _, sha = reference.digest(run)
     assert (code, sha) == (0, _BENCH_DIGESTS[command])
 
 

@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import subprocess
 import sys
 import tracemalloc
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -197,34 +199,36 @@ def test_generators_match_a_filter_of_all_words():
                 assert list(complete_prefix(prefix, n)) == [w for w in want if w[:depth] == prefix]
 
 
-def _grown_words(n, k=None, prefix=(1,)):
-    """Restricted growth strings of length n that start with prefix and have
-    largest letter k (any when None), in lexicographic order: a recursion on
-    the next letter that calls nothing in setpart."""
-    def grow(word, biggest):
-        if len(word) == n:
-            if k is None or biggest == k:
-                yield tuple(word)
-            return
-        if k is not None and k - biggest > n - len(word):
-            return  # too few letters left to reach k
-        for v in range(1, min(biggest + 1, k or n) + 1):
-            word.append(v)
-            yield from grow(word, max(biggest, v))
-            word.pop()
-    return grow(list(prefix), max(prefix))
+@pytest.mark.listings(*((n, k, "plain") for n in range(1, 7) for k in (None, *range(1, n + 1))),
+                      *((n, None, "plain") for n in range(7, 13)))
+def test_the_listing_reference_matches_a_filter_and_the_counts(reference):
+    # the reference of the listing tests, against the filter of all n^n words
+    # (whose letters print as digits at n <= 6) and Stirling and Bell numbers
+    for n in range(1, 7):
+        words = _filtered_words(n)
+        for k in (None, *range(1, n + 1)):
+            text = "".join("".join(map(str, w)) + "\n" for w in words if k is None or max(w) == k)
+            assert reference.listing(n)[k]["plain"] == (len(text), hashlib.sha256(text.encode()).hexdigest()), (n, k)
+    for n in range(1, 13):
+        stirling = [sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)) // factorial(k)
+                    for k in range(1, n + 1)]
+        assert [reference.listing(n)[k]["count"] for k in (None, *range(1, n + 1))] == [sum(stirling), *stirling]
 
 
-def test_generators_match_a_recursion_past_the_tail_table():
+@pytest.mark.listings(*((n, k, "plain") for n in range(9, 14) for k in range(max(9, n - 3), n + 1)))
+def test_generators_match_a_recursion_past_the_tail_table(reference):
     # tails are kept after prefixes whose largest letter is at most 9, and
     # walked per prefix past it: at n = 13 the first ten letters reach 10
     for n in range(9, 14):
         for k in range(max(9, n - 3), n + 1):
-            assert list(iterate_with_k(n, k)) == list(_grown_words(n, k)), (n, k)
+            texts = (reference.word_text(w) + "\n" for w in iterate_with_k(n, k))
+            assert reference.digest(lambda out: out.writelines(texts))[1:] == reference.listing(n)[k]["plain"], (n, k)
     n = 13
     for length in range(n - 3, n + 1):
-        for prefix in (p for k in range(10, length + 1) for p in _grown_words(length, k)):
-            assert list(complete_prefix(prefix, n)) == list(_grown_words(n, prefix=prefix)), prefix
+        # the prefixes are words that the loop above has checked
+        for prefix in (p for k in range(10, length + 1) for p in iterate_with_k(length, k)):
+            want = list(reference.canonical_texts(n, prefix=prefix))
+            assert list(map(reference.word_text, complete_prefix(prefix, n))) == want, prefix
 
 
 @pytest.mark.parametrize("make, first_two", [
@@ -275,11 +279,6 @@ def test_format_word():
             format_word(empty)
 
 
-def _word_text(word):
-    """Text form of a word, built apart from format_word."""
-    return "".join(map(str, word)) if max(word) <= 9 else ",".join(map(str, word))
-
-
 # words over the positive integers of up to 300 letters, whose largest letter
 # falls on either side of 9/10, or far past it
 letter_words = st.sampled_from([9, 10, 255, 256, 10**6]).flatmap(
@@ -287,17 +286,17 @@ letter_words = st.sampled_from([9, 10, 255, 256, 10**6]).flatmap(
 )
 
 
-@given(letter_words)
-def test_format_word_matches_reference_on_random_words(letters):
-    expected = _word_text(letters)
+@given(letters=letter_words)
+def test_format_word_matches_reference_on_random_words(reference, letters):
+    expected = reference.word_text(letters)
     assert format_word(tuple(letters)) == expected
     assert format_word(letters) == expected
 
 
-def test_format_word_matches_reference_on_every_word():
+def test_format_word_matches_reference_on_every_word(reference):
     for n in range(1, 9):
         for word in iterate_all(n):
-            expected = _word_text(word)
+            expected = reference.word_text(word)
             assert format_word(word) == expected
             assert format_word(list(word)) == expected
 
@@ -328,25 +327,27 @@ def _check_chunk(n, chunk):
         assert len(words) <= 9, (n, chunk)
 
 
-def test_lines_match_format_word_per_word():
+@pytest.mark.listings(*((n, k, "plain") for n, k in _lines_cases()))
+def test_lines_match_format_word_per_word(reference):
     for n, k in _lines_cases():
-        words = iterate_all(n) if k is None else iterate_with_k(n, k)
-        chunks = list(lines(n, k))
-        assert "".join(chunks) == "".join(format_word(w) + "\n" for w in words), (n, k)
-        for chunk in chunks:
-            _check_chunk(n, chunk)
+        def write(out):
+            for chunk in lines(n, k):
+                _check_chunk(n, chunk)
+                out.write(chunk)
+        assert reference.digest(write)[1:] == reference.listing(n)[k]["plain"], (n, k)
 
 
 @pytest.mark.parametrize("n, k", [(120, None), (121, None), (121, 2), (2100, None)])
-def test_lines_match_format_word_across_the_depth_switch(n, k):
+def test_lines_match_format_word_across_the_depth_switch(reference, n, k):
     # past n = 120 a chunk holds the words after a prefix one letter shorter
     # than they are, so that long words still stream; these listings are far
-    # too long to finish
-    words = iterate_all(n) if k is None else iterate_with_k(n, k)
+    # too long to finish, and their first 2000 chunks hold fewer words than
+    # begin with n - 12 ones
     chunks = list(itertools.islice(lines(n, k), 2000))
     text = "".join(chunks)
     count = text.count("\n")
-    assert text == "".join(format_word(w) + "\n" for w in itertools.islice(words, count)), (n, k)
+    want = itertools.islice(reference.canonical_texts(n, k, prefix=(1,) * (n - 12)), count)
+    assert text == "".join(word + "\n" for word in want), (n, k)
     for chunk in chunks:
         _check_chunk(n, chunk)
 
