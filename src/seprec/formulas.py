@@ -158,19 +158,25 @@ class PfdCoefficients(NamedTuple):
         return self.a[m - 1], self.b[m - 1]
 
 
+# pfd_coeffs(1600) takes 0.3 s, and pfd_target_value(1600, y) about 0.01 s
+# for a y with a one-digit denominator.
+MAX_PFD_K = 1600
+
+
 def pfd_target_value(k: int, y: Fraction) -> Fraction:
     """The rational function whose partial fractions are tabulated:
 
         F_k(y) = (sum_{a=1..k} a(a-1)/2 + sum_{i=1..k} (k-i)i(i+1)/(2(y-i)))
                  * prod_{i=1..k} 1/(y-i)
 
-    ``y`` must avoid the poles 1..k.
+    ``y`` must avoid the poles 1..k, and ``k`` keeps the budget of the
+    tables it checks, ``MAX_PFD_K``.
 
     >>> pfd_target_value(2, Fraction(3))
     Fraction(3, 4)
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    if not 1 <= k <= MAX_PFD_K:
+        raise ValueError(f"need 1 <= k <= {MAX_PFD_K}, got {k}")
     y = Fraction(y)
     if y.denominator == 1 and 1 <= y.numerator <= k:
         raise ValueError(f"y = {y} is a pole")
@@ -204,10 +210,6 @@ def pfd_value(coeffs: PfdCoefficients, y: Fraction) -> Fraction:
         num = num * d * d + term * den
         den *= d * d
     return Fraction(num, den * scale)
-
-
-# pfd_coeffs(1600) takes 0.3 s.
-MAX_PFD_K = 1600
 
 
 def pfd_coeffs(k: int, literal: bool = False) -> PfdCoefficients:
@@ -286,20 +288,6 @@ def pfd_oracle(k: int) -> PfdCoefficients:
         a_row.append(Fraction(a_at_m, b_at_m))
         b_row.append(Fraction(a_deriv - a_at_m * b_log_deriv, scale * b_at_m))
     return PfdCoefficients(k, tuple(a_row), tuple(b_row))
-
-
-def pfd_golden_lines(max_k: int) -> list[str]:
-    """Frozen-format lines ``k m a_num a_den b_num b_den`` from the residue
-    oracle, for 1 <= m <= k <= max_k."""
-    lines = []
-    for k in range(1, max_k + 1):
-        table = pfd_oracle(k)
-        for m in range(1, k + 1):
-            am, bm = table.row(m)
-            lines.append(
-                f"{k} {m} {am.numerator} {am.denominator} {bm.numerator} {bm.denominator}"
-            )
-    return lines
 
 
 def _times_bell_egf(weights: list[int], bells: list[int]) -> list[int]:

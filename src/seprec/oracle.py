@@ -9,21 +9,16 @@ not correctness.
 Totals over all partitions of [n] reach ~1.9e8 already at n = 12, hence all
 accumulators are plain Python ints.
 
-Golden text formats (stable, whitespace-separated, sorted):
-
-* totals:        ``n k total`` per line,
-* distributions: ``n k a s count`` per line.
-
 ``brute_totals_by_k`` is the one pass over all words of [n] behind the sep
-totals (``brute_total`` and ``totals_golden_lines`` read it): a depth-first
-census with one leaf per word, which sums nothing in closed form.  The
-one-worker census runs once per n in a process and is cached as a tuple;
-every call still returns a fresh dict.  ``brute_distributions`` is the one
-pass behind the ``sep_a`` distributions: a depth-first walk that carries the
-letter sum before each record, again with one leaf per word.  Neither walk
-uses ``setpart``'s generators.  ``brute_total_nk`` and
-``brute_distribution_a`` keep their pruned per-cell streams through
-``stats``: they are the references for the two walks per cell.
+totals (``brute_total`` reads it): a depth-first census with one leaf per
+word, which sums nothing in closed form.  The one-worker census runs once per
+n in a process and is cached as a tuple; every call still returns a fresh
+dict.  ``brute_distributions`` is the one pass behind the ``sep_a``
+distributions: a depth-first walk that carries the letter sum before each
+record, again with one leaf per word.  Neither walk uses ``setpart``'s
+generators.  ``brute_total_nk`` and ``brute_distribution_a`` keep their
+pruned per-cell streams through ``stats``: they are the references for the
+two walks per cell.
 """
 from __future__ import annotations
 
@@ -169,23 +164,3 @@ def brute_distributions(n: int) -> dict[tuple[int, int], dict[int, int]]:
     return {(k, a): dict(sorted(cell.items()))
             for k in range(1, n + 1) for a, cell in enumerate(cells[k], start=1)}
 
-
-def totals_golden_lines(max_n: int = MAX_TOTAL_N) -> list[str]:
-    """Frozen-format total lines ``n k total`` for 1 <= k <= n <= max_n."""
-    lines = []
-    for n in range(1, max_n + 1):
-        by_k = brute_totals_by_k(n)
-        for k in range(1, n + 1):
-            lines.append(f"{n} {k} {by_k[k]}")
-    return lines
-
-
-def distributions_golden_lines(max_n: int = MAX_DIST_N) -> list[str]:
-    """Frozen-format distribution lines ``n k a s count`` for
-    1 <= a <= k <= n <= max_n, with s ascending within each (n, k, a)."""
-    lines = []
-    for n in range(1, max_n + 1):
-        for (k, a), dist in brute_distributions(n).items():
-            for s, count in dist.items():
-                lines.append(f"{n} {k} {a} {s} {count}")
-    return lines

@@ -238,20 +238,34 @@ def complete_prefix(prefix: Sequence[int], n: int) -> Iterator[Word]:
     return _words(list(p) + [1] * (n - len(p)), len(p), max(p), 1, n)
 
 
+# split_by_prefix(1000, 10) lists its B_10 = 115,975 pieces in about 0.2 s
+# with a 62 MiB peak, and then the next() of its first and last piece;
+# depth 11 takes 1.8 s and 292 MiB.
+_MAX_SPLIT_DEPTH = 10
+
+
 def split_by_prefix(n: int, depth: int) -> list[tuple[Word, Iterator[Word]]]:
     """Partition the ``iterate_all(n)`` stream by its length-``depth`` prefixes.
 
     Returns (prefix, sub-stream) pairs in prefix order; concatenating the
     sub-streams reproduces ``iterate_all(n)`` exactly.  Distinct sub-streams
-    share no state, so they may be consumed concurrently.  It stays for demo 01,
-    which shows the split, and ``perfbench/layers.py``, which times it by name.
+    share no state, so they may be consumed concurrently.  A sub-stream
+    starts its :func:`complete_prefix` walk, and its word buffer, on its
+    first ``next()``.  Sizes are checked at call time; ``depth`` is at most
+    10, as the list holds B_depth pairs.  It stays for demo 01, which shows
+    the split, and ``perfbench/layers.py``, which times it by name.
 
     >>> [(p, sum(1 for _ in s)) for p, s in split_by_prefix(3, 2)]
     [((1, 1), 2), ((1, 2), 3)]
     """
-    if not 1 <= depth <= n:
-        raise ValueError(f"need 1 <= depth <= n, got depth={depth}, n={n}")
-    return [(p, complete_prefix(p, n)) for p in iterate_all(depth)]
+    if not 1 <= depth <= min(n, _MAX_SPLIT_DEPTH) or n > MAX_WORD_LENGTH:
+        raise ValueError(f"need 1 <= depth <= min(n, {_MAX_SPLIT_DEPTH}) (prefix-count budget) and "
+                         f"n <= {MAX_WORD_LENGTH} (word-length budget), got depth={depth}, n={n}")
+
+    def completions(prefix: Word) -> Iterator[Word]:
+        yield from complete_prefix(prefix, n)
+
+    return [(p, completions(p)) for p in iterate_all(depth)]
 
 
 # Letters 0-9 to their ASCII digits, for the digit text in lines, whose

@@ -22,12 +22,14 @@ runs them:
 * ``integrality``  the Bell combination of the totals is divisible by 12, n <= 200;
 * ``rowsum``       the per-k totals sum to the Bell-number total, n <= 40.
 
-The fixed-range suites ignore ``max_n``.  ``totals`` and ``bell_total`` read
-the oracle's census, which runs once per n in a process, so the second of
-them walks no word again; ``distribution`` reads one joint walk of the words
-of [n] per n.  ``pfd`` evaluates its probes in integers.  Dependencies are
-called through their modules, so patching a module attribute reaches the
-suites.
+The fixed-range suites ignore ``max_n``.  ``counts``, ``totals`` and
+``bell_total`` walk every word of each n <= max_n, so they refuse a ``max_n``
+outside 1..``oracle.MAX_TOTAL_N`` before any walk.  ``totals`` and
+``bell_total`` read the oracle's census, which runs once per n in a process,
+so the second of them walks no word again; ``distribution`` reads one joint
+walk of the words of [n] per n.  ``pfd`` evaluates its probes in integers.
+Dependencies are called through their modules, so patching a module
+attribute reaches the suites.
 """
 from __future__ import annotations
 
@@ -37,7 +39,13 @@ from math import factorial
 from . import counting, formulas, oracle, series, setpart, stats
 
 
+def _check_max_n(max_n: int) -> None:
+    if not 1 <= max_n <= oracle.MAX_TOTAL_N:
+        raise ValueError(f"need 1 <= max_n <= {oracle.MAX_TOTAL_N}, got {max_n}")
+
+
 def counts(max_n: int) -> tuple[bool, str]:
+    _check_max_n(max_n)
     cells = 0
     for n in range(1, max_n + 1):
         if sum(1 for _ in setpart.iterate_all(n)) != counting.bell(n):
@@ -75,6 +83,7 @@ def stats_dual(max_n: int) -> tuple[bool, str]:
 
 
 def totals(max_n: int) -> tuple[bool, str]:
+    _check_max_n(max_n)
     # each series route gives the totals of every n <= max_n for its k at once
     rationals = {k: formulas.rational_series_totals(k, max_n) for k in range(1, max_n + 1)}
     qderivs = {k: series.sep_totals_by_length(k, max_n) for k in range(1, max_n + 1)}
@@ -96,6 +105,7 @@ def totals(max_n: int) -> tuple[bool, str]:
 
 
 def bell_total(max_n: int) -> tuple[bool, str]:
+    _check_max_n(max_n)
     for n in range(1, max_n + 1):
         if formulas.total_sep_n(n) != oracle.brute_total(n):
             return False, f"Bell-number total differs from enumeration at n={n}"

@@ -5,18 +5,18 @@ from math import factorial
 
 import pytest
 
-from seprec import formulas
+from seprec import formulas, series, setpart, verify
 from seprec.counting import MAX_STIRLING_N, bell, bell_numbers
 from seprec.formulas import (
     MAX_BELL_TOTAL_N,
     MAX_EGF_ORDER,
+    MAX_PFD_K,
     MAX_PFD_ORACLE_K,
     PfdCoefficients,
     bell_egf,
     bell_shift_identities_check,
     egf_coeffs,
     pfd_coeffs,
-    pfd_golden_lines,
     pfd_oracle,
     pfd_target_value,
     pfd_value,
@@ -24,7 +24,7 @@ from seprec.formulas import (
     total_sep_n,
     total_sep_nk,
 )
-from seprec.oracle import brute_total, brute_total_nk
+from seprec.oracle import MAX_TOTAL_N, brute_total, brute_total_nk
 from seprec.series import sep_totals_by_length
 
 
@@ -135,7 +135,20 @@ def test_rational_series_totals_examples():
 @pytest.mark.parametrize("call", [
     lambda: rational_series_totals(2, MAX_STIRLING_N + 1),
     lambda: bell_shift_identities_check(MAX_EGF_ORDER + 1),
-], ids=["rational_series_totals", "bell_shift_identities_check"])
+    lambda: pfd_target_value(MAX_PFD_K + 1, Fraction(1, 2)),
+    lambda: series.word_sum_factor(series.MAX_ORDER + 1, 1),
+    lambda: series.word_sum_factor(1, series.MAX_ORDER + 1),
+    lambda: series.word_count_factor(series.MAX_ORDER + 1, 1),
+    lambda: series.word_count_factor(1, series.MAX_ORDER + 1),
+    lambda: setpart.split_by_prefix(1000, setpart._MAX_SPLIT_DEPTH + 1),
+    lambda: verify.counts(MAX_TOTAL_N + 1),
+    lambda: verify.totals(MAX_TOTAL_N + 1),
+    lambda: verify.bell_total(MAX_TOTAL_N + 1),
+    lambda: verify.counts(0),
+], ids=["rational_series_totals", "bell_shift_identities_check", "pfd_target_value",
+        "word_sum_factor_alphabet", "word_sum_factor_order", "word_count_factor_alphabet",
+        "word_count_factor_order", "split_by_prefix", "verify_counts", "verify_totals",
+        "verify_bell_total", "verify_counts_zero"])
 def test_one_past_a_library_budget_raises_at_once(call):
     start = time.perf_counter()
     with pytest.raises(ValueError):
@@ -287,11 +300,6 @@ def test_pfd_probes_raise_at_every_pole():
                     pfd_target_value(k, y)
                 with pytest.raises(ZeroDivisionError):
                     pfd_value(table, y)
-
-
-def test_pfd_golden_lines_format():
-    lines = pfd_golden_lines(2)
-    assert lines == ["1 1 0 1 0 1", "2 1 -1 1 -2 1", "2 2 0 1 2 1"]
 
 
 def test_bell_egf_coefficients():

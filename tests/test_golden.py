@@ -5,6 +5,7 @@ computation); these tests pin both the oracles and the closed forms to that
 frozen output.  Full-depth re-enumeration lives in the acceptance suite; here
 the oracle side is re-run only on the cheap prefix of each file.
 """
+import ast
 import importlib.util
 from collections import defaultdict
 from fractions import Fraction
@@ -98,3 +99,17 @@ def test_regen_check_names_each_golden_that_would_change_and_writes_nothing(tmp_
     ]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["edited.txt", "same.txt"]
     assert (tmp_path / "edited.txt").read_text() == "1 1 1\n"
+
+
+def test_regen_imports_only_oracle_routes_and_sizes():
+    # the goldens freeze oracle output, so the script that writes them may
+    # read no closed-form or series route
+    allowed = {"seprec.oracle.brute_totals_by_k", "seprec.oracle.brute_distributions",
+               "seprec.formulas.pfd_oracle", "seprec.oracle.MAX_TOTAL_N", "seprec.oracle.MAX_DIST_N"}
+    imported = set()
+    for node in ast.walk(ast.parse(REGEN.read_text())):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "seprec" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "seprec":
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert imported == allowed

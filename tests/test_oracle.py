@@ -12,8 +12,6 @@ from seprec.oracle import (
     brute_total,
     brute_total_nk,
     brute_totals_by_k,
-    distributions_golden_lines,
-    totals_golden_lines,
 )
 
 
@@ -148,20 +146,3 @@ def test_distribution_keys_sorted():
     dist = brute_distribution_a(6, 3, 3)
     assert list(dist) == sorted(dist)
 
-
-def test_totals_golden_format():
-    lines = totals_golden_lines(4)
-    assert lines[0] == "1 1 0"
-    assert "3 2 4" in lines
-    assert "4 3 29" in lines
-    assert len(lines) == 1 + 2 + 3 + 4
-
-
-def test_distributions_golden_format():
-    lines = distributions_golden_lines(3)
-    assert "3 2 2 1 2" in lines
-    assert "3 2 2 2 1" in lines
-    for line in lines:
-        n, k, a, s, count = map(int, line.split())
-        assert 1 <= a <= k <= n <= 3
-        assert count > 0 and s >= 0

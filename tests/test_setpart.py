@@ -165,6 +165,22 @@ def test_split_by_prefix_sizes():
     assert sizes == [((1, 1), 5), ((1, 2), 10)]
 
 
+def test_split_by_prefix_at_its_depth_budget_stays_small():
+    # each piece makes its word buffer on its first next(), not when listed;
+    # peak RSS (VmHWM) measured in a fresh process, in KiB
+    script = ("from seprec import setpart\n"
+              "pieces = setpart.split_by_prefix(1000, setpart._MAX_SPLIT_DEPTH)\n"
+              "first, last = next(pieces[0][1]), next(pieces[-1][1])\n"
+              "assert first == (1,) * 1000 and last == tuple(range(1, setpart._MAX_SPLIT_DEPTH + 1)) + (1,) * 990\n"
+              "with open('/proc/self/status') as status:\n"
+              "    print(len(pieces), next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    count, peak = map(int, proc.stdout.split())
+    assert count == bell(10)
+    assert peak < 100 * 1024
+
+
 def test_complete_prefix_matches_filter():
     want = [w for w in iterate_all(5) if w[:2] == (1, 2)]
     assert list(complete_prefix((1, 2), 5)) == want
