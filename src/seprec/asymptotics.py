@@ -127,20 +127,25 @@ def bell_shift_error(n: int, h: int) -> float:
     if not 1 <= n <= MAX_EXACT_N:
         raise ValueError(f"need 1 <= n <= {MAX_EXACT_N} (exact-computation budget), got {n}")
     r = solve_r(n)
-    rising = 1
-    for i in range(1, h + 1):
-        rising *= n + i
-    approx = rising / r**h
+    approx = math.perm(n + h, h) / r**h
     exact = bell(n + h) / bell(n)
     return abs(approx / exact - 1.0)
 
 
+# sweep([1000] * 100) takes 4.6-5.3 s of CPU: each estimate at n = 1000
+# computes its Bell numbers afresh, about 0.06 s.
+MAX_SWEEP_LEN = 100
+
+
 def sweep(ns: list[int], literal: bool = False) -> list[AsymptoticReport]:
-    """Reports for each n in ``ns``, in the given order."""
+    """Reports for each n in ``ns``, in the given order; at most
+    ``MAX_SWEEP_LEN`` values of n."""
+    if len(ns) > MAX_SWEEP_LEN:
+        raise ValueError(f"need at most {MAX_SWEEP_LEN} values of n (sweep budget), got {len(ns)}")
     return [estimate_ratio(n, literal=literal) for n in ns]
 
 
-def sweep_csv(ns: list[int], literal: bool = False) -> str:
+def sweep_csv(ns: list[int]) -> str:
     """CSV table ``n,r,ratio,abs_err`` with 12 significant digits per float.
 
     It stays as the table that ``seprec asym --format csv`` prints (a CLI
@@ -148,6 +153,6 @@ def sweep_csv(ns: list[int], literal: bool = False) -> str:
     ``perfbench/layers.py``, which times it by name.
     """
     lines = ["n,r,ratio,abs_err"]
-    for rep in sweep(ns, literal=literal):
+    for rep in sweep(ns):
         lines.append(f"{rep.n},{rep.r:.12g},{rep.ratio:.12g},{rep.abs_err:.12g}")
     return "\n".join(lines) + "\n"

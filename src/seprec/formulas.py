@@ -333,44 +333,34 @@ def egf_coeffs(order: int) -> list[Fraction]:
 
 
 def bell_shift_identities_check(order: int) -> dict[str, bool]:
-    """Exact coefficient checks, for n = 0..order, of the shift identities for
+    """Exact coefficient checks, for n = 0..order, of the shift rule for
     E = e^(e^x - 1) = sum B_n x^n / n!:
 
-        e^x E      -> B_{n+1}
-        e^(2x) E   -> B_{n+2} - B_{n+1}
-        e^(3x) E   -> B_{n+3} - 3 B_{n+2} + 2 B_{n+1}
-        x e^x E    -> n B_n
-        x e^(2x) E -> n (B_{n+1} - B_n)
+        e^(hx) E   -> sum_j s(h, j) B_{n+j}
+        x e^(hx) E -> n sum_j s(h, j) B_{n-1+j}
 
-    (each right-hand side divided by n!), compared as the integers n! [x^n]:
-    m! [x^m] of e^(hx) is h^m, and of x e^(hx) it is m h^(m-1).  Returns
-    {identity name: bool}.  Its five binomial convolutions are the work of
-    :func:`egf_coeffs`, so ``order`` keeps that budget, ``MAX_EGF_ORDER``.
+    (each right-hand side divided by n!), where s(h, j) are the signed
+    Stirling numbers of the first kind, s(h, j) = s(h-1, j-1) - (h-1) s(h-1, j).
+    The rule gives ``exp_x``, ``exp_2x`` and ``exp_3x`` for h = 1..3, and the
+    x-variants ``x_exp_x`` and ``x_exp_2x`` for h = 1, 2.  Both sides are
+    compared as the integers n! [x^n]: m! [x^m] of e^(hx) is h^m, and of
+    x e^(hx) it is m h^(m-1).  Returns {identity name: bool}.  Its binomial
+    convolutions are the work of :func:`egf_coeffs`, so ``order`` keeps that
+    budget, ``MAX_EGF_ORDER``.
     """
     if not 1 <= order <= MAX_EGF_ORDER:
         raise ValueError(f"need 1 <= order <= {MAX_EGF_ORDER}, got {order}")
+    top = 3  # largest h; the x-variants stop at top - 1
     ns = range(order + 1)
-    b = bell_numbers(order + 3)
-    checks = {
-        "exp_x": (
-            _times_bell_egf([1] * (order + 1), b),
-            [b[n + 1] for n in ns],
-        ),
-        "exp_2x": (
-            _times_bell_egf([2**m for m in ns], b),
-            [b[n + 2] - b[n + 1] for n in ns],
-        ),
-        "exp_3x": (
-            _times_bell_egf([3**m for m in ns], b),
-            [b[n + 3] - 3 * b[n + 2] + 2 * b[n + 1] for n in ns],
-        ),
-        "x_exp_x": (
-            _times_bell_egf(list(ns), b),
-            [n * b[n] for n in ns],
-        ),
-        "x_exp_2x": (
-            _times_bell_egf([m * 2**m // 2 for m in ns], b),
-            [n * (b[n + 1] - b[n]) for n in ns],
-        ),
-    }
-    return {name: got == want for name, (got, want) in checks.items()}
+    b = bell_numbers(order + top)
+    plain, with_x = {}, {}
+    s = [1]  # s(h, 0..h), from s(0, 0) = 1
+    for h in range(1, top + 1):
+        s = [left - (h - 1) * right for left, right in zip([0] + s, s + [0])]
+        row = [sum(c * b[n + j] for j, c in enumerate(s)) for n in ns]
+        name = "exp_x" if h == 1 else f"exp_{h}x"
+        plain[name] = _times_bell_egf([h**m for m in ns], b) == row
+        if h < top:
+            with_x["x_" + name] = (_times_bell_egf([m * h**m // h for m in ns], b)
+                                   == [n * row[n - 1] if n else 0 for n in ns])
+    return {**plain, **with_x}

@@ -22,14 +22,14 @@ runs them:
 * ``integrality``  the Bell combination of the totals is divisible by 12, n <= 200;
 * ``rowsum``       the per-k totals sum to the Bell-number total, n <= 40.
 
-The fixed-range suites ignore ``max_n``.  ``counts``, ``totals`` and
-``bell_total`` walk every word of each n <= max_n, so they refuse a ``max_n``
-outside 1..``oracle.MAX_TOTAL_N`` before any walk.  ``totals`` and
-``bell_total`` read the oracle's census, which runs once per n in a process,
-so the second of them walks no word again; ``distribution`` reads one joint
-walk of the words of [n] per n.  ``pfd`` evaluates its probes in integers.
-Dependencies are called through their modules, so patching a module
-attribute reaches the suites.
+The fixed-range suites ignore ``max_n``.  The six word suites, ``counts``
+to ``distribution``, walk the words of each n up to max_n or their own cap,
+so they refuse a ``max_n`` outside 1..``oracle.MAX_TOTAL_N`` before any
+walk.  ``totals`` and ``bell_total`` read the oracle's census, which runs
+once per n in a process, so the second of them walks no word again;
+``distribution`` reads one joint walk of the words of [n] per n.  ``pfd``
+evaluates its probes in integers.  Dependencies are called through their
+modules, so patching a module attribute reaches the suites.
 """
 from __future__ import annotations
 
@@ -58,6 +58,7 @@ def counts(max_n: int) -> tuple[bool, str]:
 
 
 def roundtrip(max_n: int) -> tuple[bool, str]:
+    _check_max_n(max_n)
     top = min(max_n, 9)
     total = 0
     for n in range(1, top + 1):
@@ -69,6 +70,7 @@ def roundtrip(max_n: int) -> tuple[bool, str]:
 
 
 def stats_dual(max_n: int) -> tuple[bool, str]:
+    _check_max_n(max_n)
     top = min(max_n, 9)
     total = 0
     for n in range(1, top + 1):
@@ -113,6 +115,7 @@ def bell_total(max_n: int) -> tuple[bool, str]:
 
 
 def distribution(max_n: int) -> tuple[bool, str]:
+    _check_max_n(max_n)
     top = min(max_n, oracle.MAX_DIST_N)
     cells = 0
     for n in range(1, top + 1):

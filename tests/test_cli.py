@@ -310,8 +310,9 @@ def test_total_brute_cap(capsys):
     ("pfd", "--k", formulas.MAX_PFD_K + 1),
     ("pfd", "--k", formulas.MAX_PFD_ORACLE_K + 1, "--oracle"),
     ("enumerate", "--n", setpart.MAX_WORD_LENGTH + 1),
+    ("asym", "--n-list", ",".join([str(asymptotics.MAX_EXACT_N)] * (asymptotics.MAX_SWEEP_LEN + 1))),
 ], ids=["total", "total_k", "brute", "series", "series_k", "egf", "series_order", "pfd", "pfd_oracle",
-        "enumerate_length"])
+        "enumerate_length", "asym_length"])
 def test_one_past_a_size_budget_exits_2_at_once(capsys, argv):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *map(str, argv))

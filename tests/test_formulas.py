@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from seprec import formulas, series, setpart, verify
+from seprec import asymptotics, formulas, series, setpart, verify
 from seprec.counting import MAX_STIRLING_N, bell, bell_numbers
 from seprec.formulas import (
     MAX_BELL_TOTAL_N,
@@ -145,10 +145,19 @@ def test_rational_series_totals_examples():
     lambda: verify.totals(MAX_TOTAL_N + 1),
     lambda: verify.bell_total(MAX_TOTAL_N + 1),
     lambda: verify.counts(0),
+    lambda: verify.roundtrip(MAX_TOTAL_N + 1),
+    lambda: verify.roundtrip(0),
+    lambda: verify.stats_dual(MAX_TOTAL_N + 1),
+    lambda: verify.stats_dual(0),
+    lambda: verify.distribution(MAX_TOTAL_N + 1),
+    lambda: verify.distribution(0),
+    lambda: asymptotics.sweep([asymptotics.MAX_EXACT_N] * (asymptotics.MAX_SWEEP_LEN + 1)),
 ], ids=["rational_series_totals", "bell_shift_identities_check", "pfd_target_value",
         "word_sum_factor_alphabet", "word_sum_factor_order", "word_count_factor_alphabet",
         "word_count_factor_order", "split_by_prefix", "verify_counts", "verify_totals",
-        "verify_bell_total", "verify_counts_zero"])
+        "verify_bell_total", "verify_counts_zero", "verify_roundtrip", "verify_roundtrip_zero",
+        "verify_stats_dual", "verify_stats_dual_zero", "verify_distribution",
+        "verify_distribution_zero", "sweep_length"])
 def test_one_past_a_library_budget_raises_at_once(call):
     start = time.perf_counter()
     with pytest.raises(ValueError):
