@@ -2,23 +2,23 @@
 
 Every closed form and series identity in this package is tested against the
 totals and distributions computed here.  Enumeration is capped (n <= 12 for
-totals, n <= 9 for distributions) to keep a full verification sweep on a
-desktop within a minute-scale budget; the caps guard against runaway runtime,
-not correctness.
+totals, n <= 9 for distributions); the caps guard against runaway runtime,
+not correctness.  On a 2-vCPU machine with Python 3.11 the census takes
+0.02, 0.1 and 0.4-0.6 s at n = 10, 11, 12, and the ``sep_a`` table 0.01 s
+at n = 9; past its cap it would take 0.04-0.08, 0.3-0.5 and 2.0-2.9 s.
 
 Totals over all partitions of [n] reach ~1.9e8 already at n = 12, hence all
 accumulators are plain Python ints.
 
-``brute_totals_by_k`` is the one pass over all words of [n] behind the sep
-totals (``brute_total`` reads it): a depth-first census with one leaf per
-word, which sums nothing in closed form.  The one-worker census runs once per
-n in a process and is cached as a tuple; every call still returns a fresh
-dict.  ``brute_distributions`` is the one pass behind the ``sep_a``
-distributions: a depth-first walk that carries the letter sum before each
-record, again with one leaf per word.  Neither walk uses ``setpart``'s
-generators.  ``brute_total_nk`` and ``brute_distribution_a`` keep their
-pruned per-cell streams through ``stats``: they are the references for the
-two walks per cell.
+``brute_totals_by_k`` (which ``brute_total`` reads) and
+``brute_distributions`` are two tables filled from the leaves of one
+depth-first walk over the words of [n], ``_record_walk``.  It counts the
+words that share their letter sums before each record, and sums nothing in
+closed form.  The one-worker census runs once per n in a process and is
+cached as a tuple; every call still returns a fresh dict.  The walk uses no
+``setpart`` generator.  ``brute_total_nk`` and ``brute_distribution_a`` keep
+their pruned per-cell streams through ``stats``: they are the references
+for the walk per cell.
 """
 from __future__ import annotations
 
@@ -84,29 +84,43 @@ def _totals(n: int) -> tuple[int, ...]:
 
 def _census(prefix: tuple[int, ...], n: int) -> list[int]:
     """Sep totals by block count over the length-``n`` restricted growth
-    strings that start with ``prefix``.
-
-    A node carries (length, running max, letter sum, sep): a letter up to the
-    max keeps sep, and the record max + 1 adds the letter sum before it.  The
-    last letter is chosen in a loop, one leaf per word.
-    """
+    strings that start with ``prefix``: the record walk's leaves, each sep
+    weighted by its count of words."""
     totals = [0] * (n + 1)
 
-    def walk(i: int, biggest: int, letters: int, sep: int) -> None:
+    def leaf(seps: tuple[int, ...], sep: int, count: int) -> None:
+        totals[len(seps)] += count * sep
+
+    _record_walk(prefix, n, leaf)
+    return totals
+
+
+def _record_walk(prefix: tuple[int, ...], n: int, leaf) -> None:
+    """Depth-first walk over the length-``n`` restricted growth strings that
+    start with ``prefix``, calling ``leaf(seps, sep, count)`` for ``count``
+    words with the same letter sum before each record, ``seps``, and their
+    total, sep.
+
+    A node carries (length, letter sum, seps, sep): a letter up to the max
+    keeps the records, and the record max + 1 appends the letter sum before
+    it.  At the last letter the k words that repeat one of 1..k share one
+    leaf, and the word that ends in record k + 1 gets its own.
+    """
+    def walk(i: int, letters: int, seps: tuple[int, ...], sep: int) -> None:
+        biggest = len(seps)
         if i == n - 1:
-            for _ in range(biggest):  # the words whose last letter repeats one
-                totals[biggest] += sep
-            totals[biggest + 1] += sep + letters  # the word ending in a record
+            leaf(seps, sep, biggest)  # the words whose last letter repeats one
+            leaf(seps + (letters,), sep + letters, 1)  # the word ending in a record
             return
         for v in range(1, biggest + 1):
-            walk(i + 1, biggest, letters + v, sep)
-        walk(i + 1, biggest + 1, letters + biggest + 1, sep + letters)
+            walk(i + 1, letters + v, seps, sep)
+        walk(i + 1, letters + biggest + 1, seps + (letters,), sep + letters)
 
+    seps = tuple(stats.sep_a(prefix, a) for a in range(1, max(prefix) + 1))
     if len(prefix) == n:
-        totals[max(prefix)] += stats.sep(prefix)
+        leaf(seps, sum(seps), 1)
     else:
-        walk(len(prefix), max(prefix), sum(prefix), stats.sep(prefix))
-    return totals
+        walk(len(prefix), sum(prefix), seps, sum(seps))
 
 
 def brute_distribution_a(n: int, k: int, a: int) -> dict[int, int]:
@@ -130,12 +144,9 @@ def brute_distribution_a(n: int, k: int, a: int) -> dict[int, int]:
 
 def brute_distributions(n: int) -> dict[tuple[int, int], dict[int, int]]:
     """Every ``sep_a`` distribution of [n] from one walk over its words:
-    ``{(k, a): brute_distribution_a(n, k, a)}`` for 1 <= a <= k <= n.
-
-    A node carries (length, letter sum, the letter sum before each record so
-    far): a letter up to the max keeps the records, and the record max + 1
-    appends the letter sum before it.  The last letter is chosen in a loop,
-    one leaf per word, and each leaf counts its k values of ``sep_a``.
+    ``{(k, a): brute_distribution_a(n, k, a)}`` for 1 <= a <= k <= n.  Each
+    leaf of the record walk adds its count of words to the k cells its
+    ``seps`` name.
 
     >>> brute_distributions(3)[2, 2]
     {1: 2, 2: 1}
@@ -145,22 +156,10 @@ def brute_distributions(n: int) -> dict[tuple[int, int], dict[int, int]]:
     # cells[k][a - 1] counts sep_a over the words with k blocks
     cells: list[list[dict[int, int]]] = [[{} for _ in range(k)] for k in range(n + 1)]
 
-    def tally(seps: tuple[int, ...]) -> None:
+    def leaf(seps: tuple[int, ...], sep: int, count: int) -> None:
         for cell, s in zip(cells[len(seps)], seps):
-            cell[s] = cell.get(s, 0) + 1
+            cell[s] = cell.get(s, 0) + count
 
-    def walk(i: int, letters: int, seps: tuple[int, ...]) -> None:
-        biggest = len(seps)
-        if i == n - 1:
-            for _ in range(biggest):  # the words whose last letter repeats one
-                tally(seps)
-            tally(seps + (letters,))  # the word ending in a record
-            return
-        for v in range(1, biggest + 1):
-            walk(i + 1, letters + v, seps)
-        walk(i + 1, letters + biggest + 1, seps + (letters,))
-
-    walk(0, 0, ())  # from the empty word, whose first letter is its record 1
+    _record_walk((1,), n, leaf)
     return {(k, a): dict(sorted(cell.items()))
             for k in range(1, n + 1) for a, cell in enumerate(cells[k], start=1)}
-

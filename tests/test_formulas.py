@@ -350,12 +350,13 @@ def test_bell_shift_identities_fail_on_one_wrong_bell_number(monkeypatch):
 
 
 def test_bell_shift_spot_values():
-    # n = 2 coefficient of e^(2x) E is (B_4 - B_3)/2! = 10/2
-    assert bell(4) - bell(3) == 10
-    # n = 1 coefficient of x e^x E is 1 * B_1 = 1
-    assert 1 * bell(1) == 1
-    # n = 1 coefficient of e^(3x) E is B_4 - 3 B_3 + 2 B_2 = 4
-    assert bell(4) - 3 * bell(3) + 2 * bell(2) == 4
+    b = [bell(j) for j in range(3)]
+    # n! [x^n] of e^(2x) E at n = 2 is B_4 - B_3
+    assert formulas._times_bell_egf([2**m for m in range(3)], b)[2] == bell(4) - bell(3) == 10
+    # n! [x^n] of x e^x E at n = 1 is 1 * B_1
+    assert formulas._times_bell_egf(list(range(2)), b)[1] == 1 * bell(1) == 1
+    # n! [x^n] of e^(3x) E at n = 1 is B_4 - 3 B_3 + 2 B_2
+    assert formulas._times_bell_egf([3**m for m in range(2)], b)[1] == bell(4) - 3 * bell(3) + 2 * bell(2) == 4
 
 
 def test_integrality_of_bell_combination():

@@ -2,7 +2,7 @@ import concurrent.futures
 
 import pytest
 
-from seprec import setpart, stats
+from seprec import oracle, setpart, stats
 from seprec.counting import stirling2
 from seprec.oracle import (
     MAX_DIST_N,
@@ -83,6 +83,15 @@ def test_totals_by_k_pool_has_at_most_one_worker_per_prefix(monkeypatch):
         assert brute_totals_by_k(n, workers=10**6) == brute_totals_by_k(n)
     # depth-2, depth-3 and depth-4 prefixes: B_2, B_3 and B_4 chunks
     assert sizes == [2, 5, 15]
+
+
+def test_census_from_prefixes_partitions_the_census():
+    # depth n gives whole-word prefixes, each one leaf of its own
+    for n in range(1, 8):
+        whole = oracle._census((1,), n)
+        for d in range(1, n + 1):
+            parts = [oracle._census(p, n) for p in setpart.iterate_all(d)]
+            assert [sum(col) for col in zip(*parts)] == whole, (n, d)
 
 
 def test_totals_by_k_returns_a_fresh_dict():
