@@ -66,12 +66,16 @@ def _render(args, out: TextIO, result, header, rows, lines) -> None:
             out.write(line + "\n")
 
 
-def _name_list(text: str, what: str) -> list[str]:
+def _name_list(text: str, what: str, known) -> list[str]:
     """The names of a comma list, stripped, without empty names, each once
-    at its first place.  Raises ValueError naming ``what`` when none is left."""
+    at its first place.  Raises ValueError naming ``what`` when none is
+    left or when a name is not in ``known``."""
     names = list(dict.fromkeys(s.strip() for s in text.split(",") if s.strip()))
     if not names:
         raise ValueError(f"no {what} requested")
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown {what}: {', '.join(unknown)} (use {', '.join(known)})")
     return names
 
 
@@ -110,6 +114,10 @@ def _cmd_enumerate(args, out: TextIO) -> int:
 
 # --------------------------------------------------------------------- stat
 
+_STATS = ("sep", "sep_a", "srec", "swrec", "records")
+
+# The statistics of the word alone; perfbench/layers.py counts the calls of
+# stats.sep by wrapping it in this dict.
 _PLAIN_STATS = {
     "sep": stats.sep,
     "srec": stats.srec,
@@ -119,25 +127,23 @@ _PLAIN_STATS = {
 
 def _cmd_stat(args, out: TextIO) -> int:
     word = setpart.parse_word(args.word)
-    names = _name_list(args.stats, "statistics")
+    names = _name_list(args.stats, "statistics", _STATS)
     args.stats = ",".join(names)
     results: dict[str, object] = {}
+    lines = []
     for name in names:
         if name in _PLAIN_STATS:
-            results[name] = _PLAIN_STATS[name](word)
+            value = text = _PLAIN_STATS[name](word)
         elif name == "records":
-            results[name] = [[v, p] for v, p in stats.records(word)]
-        elif name == "sep_a":
+            value = [[v, p] for v, p in stats.records(word)]
+            text = ",".join(f"{v}:{p}" for v, p in value)
+        else:
             if args.a is None:
                 raise ValueError("sep_a requires --a")
-            results[f"sep_a({args.a})"] = stats.sep_a(word, args.a)
-        else:
-            raise ValueError(f"unknown statistic {name!r} (use sep, sep_a, srec, swrec, records)")
-    lines = []
-    for name, value in results.items():
-        if name == "records":
-            value = ",".join(f"{v}:{p}" for v, p in value)
-        lines.append(f"{name} {value}")
+            name = f"sep_a({args.a})"
+            value = text = stats.sep_a(word, args.a)
+        results[name] = value
+        lines.append(f"{name} {text}")
     rows = ([name, json.dumps(value) if isinstance(value, list) else value] for name, value in results.items())
     _render(args, out, results, ["stat", "value"], rows, lines)
     return 0
@@ -155,19 +161,16 @@ def _total_value(n: int, k, method: str) -> int:
     if method in ("series", "literal"):
         ks = range(1, n + 1) if k is None else [k]
         return sum(series.sep_totals_by_length(j, n, literal=method == "literal")[n] for j in ks)
-    if method == "egf":
-        if k is not None:
-            raise ValueError("method 'egf' computes the all-partitions total; drop --k")
-        total = formulas.egf_coeffs(n)[n] * factorial(n)
-        if total.denominator != 1:
-            raise ArithmeticError(f"exponential-series total for n={n} is not an integer: {total}")
-        return total.numerator
-    raise ValueError(f"unknown method {method!r}")
+    # method "egf"; argparse admits no other
+    if k is not None:
+        raise ValueError("method 'egf' computes the all-partitions total; drop --k")
+    total = formulas.egf_coeffs(n)[n] * factorial(n)
+    if total.denominator != 1:
+        raise ArithmeticError(f"exponential-series total for n={n} is not an integer: {total}")
+    return total.numerator
 
 
 def _cmd_total(args, out: TextIO) -> int:
-    if args.method == "literal":
-        print(LITERAL_WARNING, file=sys.stderr)
     text = str(_total_value(args.n, args.k, args.method))
     _render(args, out, text, ["n", "k", "method", "total"],
             [[args.n, "" if args.k is None else args.k, args.method, text]], [text])
@@ -177,10 +180,8 @@ def _cmd_total(args, out: TextIO) -> int:
 # ---------------------------------------------------------------------- pfd
 
 def _cmd_pfd(args, out: TextIO) -> int:
-    if args.literal:
-        if args.oracle:
-            raise ValueError("--literal applies to the closed form, not the oracle")
-        print(LITERAL_WARNING, file=sys.stderr)
+    if args.literal and args.oracle:
+        raise ValueError("--literal applies to the closed form, not the oracle")
     if args.oracle:
         table = formulas.pfd_oracle(args.k)
     else:
@@ -197,8 +198,6 @@ def _cmd_pfd(args, out: TextIO) -> int:
 # ------------------------------------------------------------------- series
 
 def _cmd_series(args, out: TextIO) -> int:
-    if args.literal:
-        print(LITERAL_WARNING, file=sys.stderr)
     xs = series.distribution_series(args.k, args.a, args.order, literal=args.literal)
     result = [[n, list(c.to_dict().items())] for n, c in enumerate(xs.coeffs)]
     rows = ([n, s, count] for n, terms in result for s, count in terms)
@@ -209,8 +208,6 @@ def _cmd_series(args, out: TextIO) -> int:
 # --------------------------------------------------------------------- asym
 
 def _cmd_asym(args, out: TextIO) -> int:
-    if args.literal:
-        print(LITERAL_WARNING, file=sys.stderr)
     ns = []
     for part in filter(None, map(str.strip, args.n_list.split(","))):
         try:
@@ -221,10 +218,10 @@ def _cmd_asym(args, out: TextIO) -> int:
         raise ValueError("empty --n-list")
     reports = asymptotics.sweep(ns, literal=args.literal)
     result = [rep._asdict() for rep in reports]
-    rows = ([rep.n, f"{rep.r:.12g}", f"{rep.ratio:.12g}", f"{rep.abs_err:.12g}"] for rep in reports)
-    lines = [f"{'n':>6} {'r':>16} {'ratio':>16} {'abs_err':>16}"]
-    lines += (f"{rep.n:>6} {rep.r:>16.12g} {rep.ratio:>16.12g} {rep.abs_err:>16.12g}" for rep in reports)
-    _render(args, out, result, ["n", "r", "ratio", "abs_err"], rows, lines)
+    rows = [asymptotics.table_row(rep) for rep in reports]
+    line = "{:>6} {:>16} {:>16} {:>16}".format
+    lines = (line(*row) for row in [asymptotics.TABLE_HEADER, *rows])
+    _render(args, out, result, asymptotics.TABLE_HEADER, rows, lines)
     return 0
 
 
@@ -236,20 +233,12 @@ _SUITES = verify.SUITES
 
 
 def _cmd_verify(args, out: TextIO) -> int:
-    max_n = args.max_n
-    if not 1 <= max_n <= oracle.MAX_TOTAL_N:
-        raise ValueError(f"need 1 <= --max-n <= {oracle.MAX_TOTAL_N}, got {max_n}")
-    if args.suites is None:
-        names = list(_SUITES)
-    else:
-        names = _name_list(args.suites, "suites")
-        unknown = sorted(set(names) - set(_SUITES))
-        if unknown:
-            raise ValueError(f"unknown suites: {', '.join(unknown)}")
+    names = _name_list(args.suites, "suites", _SUITES)
     args.suites = ",".join(names)
     results = []
     for name in names:
-        ok, detail = _SUITES[name](max_n)
+        # each suite refuses a --max-n out of its range before any work
+        ok, detail = _SUITES[name](args.max_n)
         results.append({"name": name, "ok": ok, "detail": detail})
     failed = [r for r in results if not r["ok"]]
     lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results]
@@ -279,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("stat", _cmd_stat, "record statistics of one word")
     p.add_argument("--word", required=True, help="bare digits, or comma-separated letters")
-    p.add_argument("--stats", default="sep", help="comma list: sep,sep_a,srec,swrec,records")
+    p.add_argument("--stats", default="sep", help=f"comma list: {','.join(_STATS)}")
     p.add_argument("--a", type=int, default=None, help="record value for sep_a")
 
     p = command("total", _cmd_total, "total of sep over all partitions of [n]")
@@ -290,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", _cmd_verify, "run the verification suites", formats=("plain", "json"))
     p.add_argument("--max-n", type=int, default=10, dest="max_n")
-    p.add_argument("--suites", default=None,
+    p.add_argument("--suites", default=",".join(_SUITES),
                    help=f"comma list from: {','.join(_SUITES)} (default all)")
 
     p = command("pfd", _cmd_pfd, "partial fraction coefficient table")
@@ -337,6 +326,8 @@ def main(argv: list[str] | None = None) -> int:
         except (ValueError, ArithmeticError) as exc:
             print(f"seprec: error: {exc}", file=sys.stderr)
             code = 2
+        if code == 0 and (vars(args).get("literal") or vars(args).get("method") == "literal"):
+            print(LITERAL_WARNING, file=sys.stderr)
         out.flush()
         sys.stdout.flush()
         return code

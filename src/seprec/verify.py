@@ -22,11 +22,12 @@ runs them:
 * ``integrality``  the Bell combination of the totals is divisible by 12, n <= 200;
 * ``rowsum``       the per-k totals sum to the Bell-number total, n <= 40.
 
-The fixed-range suites ignore ``max_n``.  The six word suites, ``counts``
-to ``distribution``, walk the words of each n up to max_n or their own cap,
-so they refuse a ``max_n`` outside 1..``oracle.MAX_TOTAL_N`` before any
-walk.  ``totals`` and ``bell_total`` read the oracle's census, which runs
-once per n in a process, so the second of them walks no word again;
+Every suite refuses a ``max_n`` outside 1..``oracle.MAX_TOTAL_N`` before
+any work.  The six word suites, ``counts`` to ``distribution``, walk the
+words of each n up to max_n or their own cap; the four fixed-range suites
+otherwise ignore ``max_n``.  ``totals`` and ``bell_total`` read the
+oracle's census, which runs once per n in a process, so the second of
+them walks no word again;
 ``distribution`` reads one joint walk of the words of [n] per n.  ``pfd``
 evaluates its probes in integers.  Dependencies are called through their
 modules, so patching a module attribute reaches the suites.
@@ -128,6 +129,7 @@ def distribution(max_n: int) -> tuple[bool, str]:
 
 
 def pfd(max_n: int) -> tuple[bool, str]:
+    _check_max_n(max_n)
     for k in range(1, 16):
         closed = formulas.pfd_coeffs(k)
         oracle_table = formulas.pfd_oracle(k)
@@ -141,6 +143,7 @@ def pfd(max_n: int) -> tuple[bool, str]:
 
 
 def egf(max_n: int) -> tuple[bool, str]:
+    _check_max_n(max_n)
     coeffs = formulas.egf_coeffs(30)
     for n in range(1, 31):
         if coeffs[n] * factorial(n) != formulas.total_sep_n(n):
@@ -153,6 +156,7 @@ def egf(max_n: int) -> tuple[bool, str]:
 
 
 def integrality(max_n: int) -> tuple[bool, str]:
+    _check_max_n(max_n)
     b = counting.bell_numbers(203)
     for n in range(1, 201):
         value = sum(c * b[n + h] for h, c in enumerate(formulas.bell_total_row(n)))
@@ -162,6 +166,7 @@ def integrality(max_n: int) -> tuple[bool, str]:
 
 
 def rowsum(max_n: int) -> tuple[bool, str]:
+    _check_max_n(max_n)
     for n in range(1, 41):
         by_k = sum(formulas.total_sep_nk(n, k) for k in range(1, n + 1))
         if by_k != formulas.total_sep_n(n):

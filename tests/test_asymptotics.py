@@ -19,11 +19,10 @@ from seprec.formulas import total_sep_n
 
 
 def test_solve_r_residuals(monkeypatch):
-    # every n that asym accepts converges within 10 of the 200 loop passes
-    # (at most 5 Newton steps measured), so the RuntimeError is left only
-    # for direct calls past MAX_EXACT_N
+    # Newton from the seed converges within 10 of the 200 loop passes (at
+    # most 5 steps measured) far past MAX_EXACT_N, up to n = 10^300
     monkeypatch.setattr(asymptotics, "_MAX_NEWTON_STEPS", 10)
-    for n in range(1, MAX_EXACT_N + 1):
+    for n in [*range(1, 5001), *(10**k for k in range(4, 301))]:
         r = solve_r(n)
         assert r > 0
         assert abs(r * math.exp(r) - (n + 1)) <= 1e-12 * (n + 1)

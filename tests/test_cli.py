@@ -236,8 +236,15 @@ def test_stat_sep_a_requires_a(capsys):
 
 
 def test_stat_unknown_statistic(capsys):
-    code, _, err = run_cli(capsys, "stat", "--word", "12", "--stats", "nope")
-    assert code == 2
+    code, out, err = run_cli(capsys, "stat", "--word", "12", "--stats", "sep,nope,records,zz")
+    assert (code, out) == (2, "")
+    assert err == "seprec: error: unknown statistics: nope, zz (use sep, sep_a, srec, swrec, records)\n"
+
+
+def test_stat_computes_every_listed_name(capsys):
+    for name in cli._STATS:
+        code, out, _ = run_cli(capsys, "stat", "--word", "121132", "--stats", name, "--a", "2")
+        assert code == 0 and out.startswith(name) and out.count("\n") == 1, name
 
 
 def test_stat_bad_word(capsys):
@@ -276,7 +283,7 @@ def test_total_methods_agree(capsys):
 def test_total_literal_warns_and_differs(capsys):
     code, out, err = run_cli(capsys, "total", "--n", "6", "--k", "4", "--method", "literal")
     assert code == 0
-    assert "non-validated" in err
+    assert err == cli.LITERAL_WARNING + "\n"
     assert int(out) != formulas.total_sep_nk(6, 4)
 
 
@@ -500,8 +507,8 @@ LITERAL_PINS = {
 
 @pytest.mark.parametrize("argv", sorted(LITERAL_PINS))
 def test_literal_output_regression_pin(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, cli.LITERAL_WARNING + "\n")
     assert hashlib.sha256(out.encode()).hexdigest() == LITERAL_PINS[argv]
 
 FORMAT_PINS = {
@@ -579,7 +586,7 @@ def test_pfd_csv(capsys):
 def test_pfd_literal_warns_and_differs(capsys):
     code, literal, err = run_cli(capsys, "pfd", "--k", "3", "--literal")
     assert code == 0
-    assert "non-validated" in err
+    assert err == cli.LITERAL_WARNING + "\n"
     code2, validated, _ = run_cli(capsys, "pfd", "--k", "3")
     assert literal != validated
 
@@ -636,7 +643,25 @@ def test_asym_names_the_option_of_a_bad_n(capsys, n_list, part):
 def test_asym_literal_warns(capsys):
     code, _, err = run_cli(capsys, "asym", "--n-list", "50", "--literal")
     assert code == 0
-    assert "non-validated" in err
+    assert err == cli.LITERAL_WARNING + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("pfd", "--k", "0", "--literal"),
+    ("total", "--n", "0", "--method", "literal"),
+    ("series", "--k", "3", "--a", "5", "--order", "4", "--literal"),
+    ("asym", "--n-list", "x", "--literal"),
+], ids=["pfd", "total", "series", "asym"])
+def test_literal_failure_writes_only_its_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("seprec: error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_literal_warning_has_one_print():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "LITERAL_WARNING"]
+    assert len(uses) == 2  # its definition and the one print in main
 
 
 def test_verify_passes(capsys):
@@ -654,13 +679,38 @@ def test_verify_suite_selection(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suites", "bogus")
+    code, _, err = run_cli(capsys, "verify", "--suites", "bogus,counts")
     assert code == 2
+    assert err == f"seprec: error: unknown suites: bogus (use {', '.join(verify.SUITES)})\n"
 
 
 def test_verify_max_n_guard(capsys):
-    code, _, err = run_cli(capsys, "verify", "--max-n", "13")
-    assert code == 2
+    # the suites' own rule, also when only fixed-range suites run
+    for max_n, suites in [(13, ",".join(verify.SUITES)), (0, "rowsum,pfd"), (13, "rowsum,pfd")]:
+        code, out, err = run_cli(capsys, "verify", "--max-n", str(max_n), "--suites", suites)
+        assert (code, out) == (2, "")
+        assert err == f"seprec: error: need 1 <= max_n <= {oracle.MAX_TOTAL_N}, got {max_n}\n"
+
+
+# fixed-range suite -> the module and function it calls first
+FIRST_WORK = {
+    "pfd": (formulas, "pfd_coeffs"),
+    "egf": (formulas, "egf_coeffs"),
+    "integrality": (counting, "bell_numbers"),
+    "rowsum": (formulas, "total_sep_nk"),
+}
+
+
+@pytest.mark.parametrize("max_n", [0, 13])
+@pytest.mark.parametrize("suite", list(FIRST_WORK))
+def test_fixed_range_suites_refuse_a_bad_max_n_before_any_work(monkeypatch, suite, max_n):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{suite} did work for max_n={max_n}")
+
+    module, name = FIRST_WORK[suite]
+    monkeypatch.setattr(module, name, work)
+    with pytest.raises(ValueError, match=f"need 1 <= max_n <= {oracle.MAX_TOTAL_N}, got {max_n}"):
+        verify.SUITES[suite](max_n)
 
 
 def test_verify_runs_the_suites_of_the_verify_module():

@@ -1,4 +1,11 @@
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
 import seprec
+
+LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 
 def test_star_import_exports_every_listed_name():
@@ -8,3 +15,44 @@ def test_star_import_exports_every_listed_name():
     assert len(set(seprec.__all__)) == len(seprec.__all__)
     for name in seprec.__all__:
         assert namespace[name] is getattr(seprec, name), name
+
+
+def _literal(tree: ast.Module, name: str):
+    value, = (node.value for node in tree.body if isinstance(node, ast.Assign)
+              and [ast.unparse(t) for t in node.targets] == [name])
+    return ast.literal_eval(value)
+
+
+def test_benchmark_trace_names_resolve():
+    # perfbench/layers.py looks seprec names up by string and patches them in
+    # place; read it without importing it, so that a deletion here cannot
+    # break the traced benchmark unseen
+    tree = ast.parse(LAYERS.read_text())
+    modules = set(_literal(tree, "MODULES"))
+
+    def resolve(dotted: str):
+        root, *rest = dotted.split(".")
+        obj = importlib.import_module(f"seprec.{root}")
+        for part in rest:
+            obj = getattr(obj, part)
+        return obj
+
+    for mod, names in _literal(tree, "SPANNED").items():
+        for name in names:
+            assert callable(resolve(f"{mod}.{name}")), f"{mod}.{name}"
+    for name in _literal(tree, "STREAMS"):
+        assert callable(resolve(f"setpart.{name}")), name
+    # every module attribute the file reads, and the keywords it passes
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node).split(".")[0] in modules:
+            resolve(ast.unparse(node))
+        if isinstance(node, ast.Call) and node.keywords and ast.unparse(node.func).split(".")[0] in modules:
+            inspect.signature(resolve(ast.unparse(node.func))).bind_partial(
+                **{kw.arg: None for kw in node.keywords})
+    from seprec import cli, oracle, series, stats, verify
+    assert cli._SUITES is verify.SUITES
+    # the counters are installed into this dict and into the class itself
+    assert isinstance(cli._PLAIN_STATS, dict)
+    assert any(fn is stats.sep for fn in cli._PLAIN_STATS.values())
+    assert "__mul__" in vars(series.QPoly)
+    assert "workers" in inspect.signature(oracle.brute_totals_by_k).parameters
