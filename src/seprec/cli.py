@@ -84,23 +84,20 @@ def _name_list(text: str, what: str, known) -> list[str]:
 def _cmd_enumerate(args, out: TextIO) -> int:
     n, k = args.n, args.k
     chunks = setpart.lines(n, k)
+    # A word holds only digits and commas, so f'"{w}"' is both its json
+    # string and its quoted csv field; a digit word needs no csv quotes, and
+    # a comma word is a chunk of its own.
     if args.format == "plain":
         for chunk in chunks:
             out.write(chunk)
     elif args.format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["word"])
+        out.write("word\n")
         for chunk in chunks:
-            # a digit word needs no quotes, so only a comma word goes to the writer
-            if "," in chunk:
-                writer.writerows(zip(chunk.splitlines()))
-            else:
-                out.write(chunk)
+            out.write(f'"{chunk[:-1]}"\n' if "," in chunk else chunk)
     else:
         count = counting.bell(n) if k is None else counting.stirling2(n, k)
         frame = json.dumps(_envelope(args, {"count": count, "words": ["@", "@"]}), sort_keys=True, indent=2)
-        # json's own text around and between two placeholder words; a word holds
-        # only digits and commas, so f'"{w}"' is json.dumps(w)
+        # json's own text around and between two placeholder words
         head, between, tail = frame.split('"@"')
         separator = '"' + between + '"'
         out.write(head + '"')

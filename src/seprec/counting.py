@@ -14,7 +14,8 @@ consecutive values comes from one pass of the Bell triangle:
 :func:`bell_numbers` gives B_0..B_top.
 
 Each has a size budget: n <= ``MAX_STIRLING_N`` for Stirling numbers and
-n <= ``MAX_BELL_N`` for Bell numbers.
+n <= ``MAX_BELL_N`` for Bell numbers.  :func:`stirling2_column` alone checks
+the Stirling arguments and budget, so every caller reads the same messages.
 """
 from __future__ import annotations
 
@@ -121,10 +122,6 @@ def stirling2(n: int, k: int) -> int:
     >>> [stirling2(4, k) for k in range(6)]
     [0, 1, 7, 6, 1, 0]
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"stirling2 arguments must be nonnegative, got ({n}, {k})")
-    if n > MAX_STIRLING_N:
-        raise ValueError(f"need n <= {MAX_STIRLING_N} for S(n, k) (Stirling number budget), got n={n}")
     return stirling2_column(k, n)[n]
 
 
@@ -168,7 +165,8 @@ def stirling2_column(k: int, top: int) -> list[int]:
 
     Only the entries with m - j <= top - k feed the column, so the pass keeps
     col[d] = S(j + d, j) for d = 0..top-k, and step j is
-    col[d] += j * col[d - 1]: k passes of length top - k + 1.
+    col[d] += j * col[d - 1]: k passes of length top - k + 1.  The checks of
+    the arguments and of ``MAX_STIRLING_N`` name S(top, k) as S(n, k).
 
     >>> stirling2_column(2, 6)
     [0, 0, 1, 3, 7, 15, 31]
@@ -176,9 +174,9 @@ def stirling2_column(k: int, top: int) -> list[int]:
     [0, 0, 0]
     """
     if k < 0 or top < 0:
-        raise ValueError(f"stirling2_column arguments must be nonnegative, got ({k}, {top})")
+        raise ValueError(f"need n >= 0 and k >= 0 for S(n, k), got n={top}, k={k}")
     if top > MAX_STIRLING_N:
-        raise ValueError(f"need top <= {MAX_STIRLING_N} for S(0..top, k) (Stirling number budget), got top={top}")
+        raise ValueError(f"need n <= {MAX_STIRLING_N} for S(n, k) (Stirling number budget), got n={top}")
     if k > top:
         return [0] * (top + 1)
     col = [1] + [0] * (top - k)

@@ -7,14 +7,14 @@ runs them:
 
 * ``counts``       stream lengths of ``iterate_all`` and ``iterate_with_k``
   equal B_n and S(n, k), for 1 <= k <= n <= max_n;
-* ``roundtrip``    blocks -> word -> blocks is exact on every word, n <= min(max_n, 9);
+* ``roundtrip``    blocks -> word -> blocks is exact on every word;
 * ``stats_dual``   ``sep`` equals ``sep_by_positions`` and the record values
-  are 1..k on every word, n <= min(max_n, 9);
+  are 1..k on every word;
 * ``totals``       closed form, rational expansion, q-derivative series and
   enumeration agree on every cell 1 <= k <= n <= max_n;
 * ``bell_total``   the Bell-number closed form equals enumeration, n <= max_n;
 * ``distribution`` series coefficients equal the enumerated ``sep_a``
-  distributions, 1 <= a <= k <= n <= min(max_n, 9);
+  distributions, 1 <= a <= k <= n;
 * ``pfd``          partial fractions equal the residue oracle and reconstruct
   the target at 2k + 1 probe points, k <= 15;
 * ``egf``          n! e_n equals the Bell-number total, 1 <= n <= 30, and the
@@ -24,10 +24,11 @@ runs them:
 
 Every suite refuses a ``max_n`` outside 1..``oracle.MAX_TOTAL_N`` before
 any work.  The six word suites, ``counts`` to ``distribution``, walk the
-words of each n up to max_n or their own cap; the four fixed-range suites
-otherwise ignore ``max_n``.  ``totals`` and ``bell_total`` read the
-oracle's census, which runs once per n in a process, so the second of
-them walks no word again;
+words of each n up to max_n or their own cap: ``MAX_WORD_CHECK_N`` for
+``roundtrip`` and ``stats_dual``, ``oracle.MAX_DIST_N`` for
+``distribution``.  The four fixed-range suites otherwise ignore
+``max_n``.  ``totals`` and ``bell_total`` read the oracle's census, which
+runs once per n in a process, so the second of them walks no word again;
 ``distribution`` reads one joint walk of the words of [n] per n.  ``pfd``
 evaluates its probes in integers.  Dependencies are called through their
 modules, so patching a module attribute reaches the suites.
@@ -38,6 +39,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import counting, formulas, oracle, series, setpart, stats
+
+MAX_WORD_CHECK_N = 9
 
 
 def _check_max_n(max_n: int) -> None:
@@ -60,7 +63,7 @@ def counts(max_n: int) -> tuple[bool, str]:
 
 def roundtrip(max_n: int) -> tuple[bool, str]:
     _check_max_n(max_n)
-    top = min(max_n, 9)
+    top = min(max_n, MAX_WORD_CHECK_N)
     total = 0
     for n in range(1, top + 1):
         for w in setpart.iterate_all(n):
@@ -72,7 +75,7 @@ def roundtrip(max_n: int) -> tuple[bool, str]:
 
 def stats_dual(max_n: int) -> tuple[bool, str]:
     _check_max_n(max_n)
-    top = min(max_n, 9)
+    top = min(max_n, MAX_WORD_CHECK_N)
     total = 0
     for n in range(1, top + 1):
         for w in setpart.iterate_all(n):

@@ -306,26 +306,34 @@ def test_total_brute_cap(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("total", "--n", formulas.MAX_BELL_TOTAL_N + 1),
-    ("total", "--n", counting.MAX_STIRLING_N + 1, "--k", 2),
-    ("total", "--n", oracle.MAX_TOTAL_N + 1, "--method", "brute"),
-    ("total", "--n", series.MAX_TOTALS_ORDER + 1, "--method", "series"),
-    ("total", "--n", series.MAX_TOTALS_ORDER + 1, "--k", 2, "--method", "series"),
-    ("total", "--n", formulas.MAX_EGF_ORDER + 1, "--method", "egf"),
-    ("series", "--k", 1, "--a", 1, "--order", series.MAX_ORDER + 1),
-    ("pfd", "--k", formulas.MAX_PFD_K + 1),
-    ("pfd", "--k", formulas.MAX_PFD_ORACLE_K + 1, "--oracle"),
-    ("enumerate", "--n", setpart.MAX_WORD_LENGTH + 1),
-    ("asym", "--n-list", ",".join([str(asymptotics.MAX_EXACT_N)] * (asymptotics.MAX_SWEEP_LEN + 1))),
-], ids=["total", "total_k", "brute", "series", "series_k", "egf", "series_order", "pfd", "pfd_oracle",
-        "enumerate_length", "asym_length"])
-def test_one_past_a_size_budget_exits_2_at_once(capsys, argv):
+# Every Stirling caller reads the one message of counting.stirling2_column.
+_STIRLING_BUDGET_ERROR = (f"seprec: error: need n <= {counting.MAX_STIRLING_N} for S(n, k) "
+                          f"(Stirling number budget), got n={counting.MAX_STIRLING_N + 1}\n")
+
+
+@pytest.mark.parametrize("argv, want_err", [
+    (("total", "--n", formulas.MAX_BELL_TOTAL_N + 1), None),
+    (("total", "--n", counting.MAX_STIRLING_N + 1, "--k", 2), _STIRLING_BUDGET_ERROR),
+    (("enumerate", "--n", counting.MAX_STIRLING_N + 1, "--k", 3, "--format", "json"), _STIRLING_BUDGET_ERROR),
+    (("total", "--n", oracle.MAX_TOTAL_N + 1, "--method", "brute"), None),
+    (("total", "--n", series.MAX_TOTALS_ORDER + 1, "--method", "series"), None),
+    (("total", "--n", series.MAX_TOTALS_ORDER + 1, "--k", 2, "--method", "series"), None),
+    (("total", "--n", formulas.MAX_EGF_ORDER + 1, "--method", "egf"), None),
+    (("series", "--k", 1, "--a", 1, "--order", series.MAX_ORDER + 1), None),
+    (("pfd", "--k", formulas.MAX_PFD_K + 1), None),
+    (("pfd", "--k", formulas.MAX_PFD_ORACLE_K + 1, "--oracle"), None),
+    (("enumerate", "--n", setpart.MAX_WORD_LENGTH + 1), None),
+    (("asym", "--n-list", ",".join([str(asymptotics.MAX_EXACT_N)] * (asymptotics.MAX_SWEEP_LEN + 1))), None),
+], ids=["total", "total_k", "enumerate_json_k", "brute", "series", "series_k", "egf", "series_order", "pfd",
+        "pfd_oracle", "enumerate_length", "asym_length"])
+def test_one_past_a_size_budget_exits_2_at_once(capsys, argv, want_err):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *map(str, argv))
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("seprec: error: ") and err.count("\n") == 1
+    if want_err is not None:
+        assert err == want_err
 
 
 def test_total_prints_past_the_int_digit_limit(capsys):

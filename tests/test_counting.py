@@ -56,10 +56,12 @@ def test_stirling_values():
 
 
 def test_stirling_rejects_negatives():
-    with pytest.raises(ValueError):
-        stirling2(-1, 1)
-    with pytest.raises(ValueError):
-        stirling2(1, -1)
+    # the column alone checks, so both entry points read its one message
+    for fn, args, got in ((stirling2, (-1, 2), "n=-1, k=2"), (stirling2, (3, -1), "n=3, k=-1"),
+                          (stirling2_column, (-1, 3), "n=3, k=-1")):
+        with pytest.raises(ValueError) as info:
+            fn(*args)
+        assert str(info.value) == f"need n >= 0 and k >= 0 for S(n, k), got {got}"
 
 
 def test_stirling_matches_explicit_formula():

@@ -1,11 +1,14 @@
 import ast
 import importlib
 import inspect
+import itertools
+import re
 from pathlib import Path
 
 import seprec
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ROOT / "perfbench" / "layers.py"
 
 
 def test_star_import_exports_every_listed_name():
@@ -56,3 +59,19 @@ def test_benchmark_trace_names_resolve():
     assert any(fn is stats.sep for fn in cli._PLAIN_STATS.values())
     assert "__mul__" in vars(series.QPoly)
     assert "workers" in inspect.signature(oracle.brute_totals_by_k).parameters
+
+
+def test_readme_budget_table_matches_the_constants():
+    # the size-budget table of README.md: each Budget cell holds the value of
+    # the module.CONSTANT in its Constant cell (the costs stay prose)
+    text = (ROOT / "README.md").read_text()
+    header = "| Input | Budget | Constant | Cost at the budget |"
+    lines = text[text.index(header):].splitlines()
+    rows = list(itertools.takewhile(lambda line: line.lstrip().startswith("|"), lines))[2:]
+    assert len(rows) >= 10
+    for row in rows:
+        _, budget, constant = (cell.strip() for cell in row.strip().strip("|").split("|")[:3])
+        module, name = constant.strip("`").split(".")
+        want = getattr(importlib.import_module(f"seprec.{module}"), name)
+        value, = re.findall(r"\d[\d,]*", budget)
+        assert int(value.replace(",", "")) == want, row
