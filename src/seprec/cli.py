@@ -15,6 +15,12 @@ carries the command name and its parsed arguments as ``params``.  Only
 hold commas) as they are in plain, inside the same json envelope, or as csv
 rows, which quote only the comma words.
 
+At start the module imports only what its module-level names need:
+``counting``, ``setpart``, ``stats`` and ``verify``, whose suites the parser
+lists.  Each command imports ``formulas``, ``series``, ``oracle`` or
+``asymptotics``, and ``json`` or ``csv``, in the branch that uses them, so a
+run loads and compiles only the modules it runs.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error or a failed
 write to stdout, 141 stdout closed by its reader (as a shell reports for
 ``yes | head -1``).
@@ -22,15 +28,13 @@ write to stdout, 141 stdout closed by its reader (as a shell reports for
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from math import factorial
 from typing import TextIO
 
-from . import asymptotics, counting, formulas, oracle, series, setpart, stats, verify
+from . import counting, setpart, stats, verify
 
 LITERAL_WARNING = (
     "warning: --literal uses the non-validated textbook variant of the formula; "
@@ -55,9 +59,11 @@ def _render(args, out: TextIO, result, header, rows, lines) -> None:
     plain text.  Only that format's part is read, so ``rows`` and ``lines``
     may be generators."""
     if args.format == "json":
+        import json
         json.dump(_envelope(args, result), out, sort_keys=True, indent=2)
         out.write("\n")
     elif args.format == "csv":
+        import csv
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -95,6 +101,7 @@ def _cmd_enumerate(args, out: TextIO) -> int:
         for chunk in chunks:
             out.write(f'"{chunk[:-1]}"\n' if "," in chunk else chunk)
     else:
+        import json
         count = counting.bell(n) if k is None else counting.stirling2(n, k)
         frame = json.dumps(_envelope(args, {"count": count, "words": ["@", "@"]}), sort_keys=True, indent=2)
         # json's own text around and between two placeholder words
@@ -141,8 +148,8 @@ def _cmd_stat(args, out: TextIO) -> int:
             value = text = stats.sep_a(word, args.a)
         results[name] = value
         lines.append(f"{name} {text}")
-    rows = ([name, json.dumps(value) if isinstance(value, list) else value] for name, value in results.items())
-    _render(args, out, results, ["stat", "value"], rows, lines)
+    # csv writes a list of int pairs as str(value), which is also its json text
+    _render(args, out, results, ["stat", "value"], results.items(), lines)
     return 0
 
 
@@ -152,15 +159,19 @@ def _total_value(n: int, k, method: str) -> int:
     if n < 1:
         raise ValueError(f"need --n >= 1, got {n}")
     if method == "formula":
+        from . import formulas
         return formulas.total_sep_n(n) if k is None else formulas.total_sep_nk(n, k)
     if method == "brute":
+        from . import oracle
         return oracle.brute_total(n) if k is None else oracle.brute_total_nk(n, k)
     if method in ("series", "literal"):
+        from . import series
         ks = range(1, n + 1) if k is None else [k]
         return sum(series.sep_totals_by_length(j, n, literal=method == "literal")[n] for j in ks)
     # method "egf"; argparse admits no other
     if k is not None:
         raise ValueError("method 'egf' computes the all-partitions total; drop --k")
+    from . import formulas
     total = formulas.egf_coeffs(n)[n] * factorial(n)
     if total.denominator != 1:
         raise ArithmeticError(f"exponential-series total for n={n} is not an integer: {total}")
@@ -179,6 +190,7 @@ def _cmd_total(args, out: TextIO) -> int:
 def _cmd_pfd(args, out: TextIO) -> int:
     if args.literal and args.oracle:
         raise ValueError("--literal applies to the closed form, not the oracle")
+    from . import formulas
     if args.oracle:
         table = formulas.pfd_oracle(args.k)
     else:
@@ -195,6 +207,7 @@ def _cmd_pfd(args, out: TextIO) -> int:
 # ------------------------------------------------------------------- series
 
 def _cmd_series(args, out: TextIO) -> int:
+    from . import series
     xs = series.distribution_series(args.k, args.a, args.order, literal=args.literal)
     result = [[n, list(c.to_dict().items())] for n, c in enumerate(xs.coeffs)]
     rows = ([n, s, count] for n, terms in result for s, count in terms)
@@ -213,6 +226,7 @@ def _cmd_asym(args, out: TextIO) -> int:
             raise ValueError(f"--n-list: not an integer: {part!r}") from None
     if not ns:
         raise ValueError("empty --n-list")
+    from . import asymptotics
     reports = asymptotics.sweep(ns, literal=args.literal)
     result = [rep._asdict() for rep in reports]
     rows = [asymptotics.table_row(rep) for rep in reports]

@@ -63,10 +63,6 @@ class QPoly:
         """Value at q = 1 (the plain count)."""
         return sum(self.coeffs)
 
-    def deriv_at_one(self) -> int:
-        """d/dq at q = 1: sum of s * c_s, the total statistic weight."""
-        return sum(s * c for s, c in enumerate(self.coeffs))
-
     def to_dict(self) -> dict[int, int]:
         """Nonzero coefficients as {power: coefficient}."""
         return {s: c for s, c in enumerate(self.coeffs) if c}
@@ -156,6 +152,15 @@ def word_count_factor(i: int, order: int) -> XSeries:
     return _expand(order, 0, 0, [_times_count(i)])
 
 
+def _factors(k: int, a: int, literal: bool) -> list[tuple[int, bool]]:
+    """The factors 1/(1 - x*L) of the distribution series of (k, a), in the
+    order they are applied, as pairs (j, letters): L is q + ... + q^j when
+    ``letters`` holds, and the count j otherwise."""
+    if literal:
+        return [f for j in range(1, a) for f in [(j, True), *[(a, False)] * (k - a + 1)]]
+    return [*((i, False) for i in range(a, k + 1)), *((j, True) for j in range(1, a))]
+
+
 def distribution_series(k: int, a: int, order: int, literal: bool = False) -> XSeries:
     """Series whose x^n q^s coefficient counts the partitions of [n] with
     exactly ``k`` blocks whose sum of elements preceding record ``a`` is s.
@@ -173,17 +178,11 @@ def distribution_series(k: int, a: int, order: int, literal: bool = False) -> XS
     """
     if not 1 <= a <= k <= order <= MAX_ORDER:
         raise ValueError(f"need 1 <= a <= k <= order <= {MAX_ORDER}, got a={a}, k={k}, order={order}")
-    if literal:
-        steps = []
-        for j in range(1, a):
-            steps.append(_times_letters(j))
-            steps.extend(_times_count(a) for _ in range(a, k + 1))
-    else:
-        steps = [*map(_times_count, range(a, k + 1)), *map(_times_letters, range(1, a))]
+    steps = [(_times_letters if letters else _times_count)(j) for j, letters in _factors(k, a, literal)]
     return _expand(order, k, a * (a - 1) // 2, steps)
 
 
-# sep_totals_by_length at order 30 takes 0.9 s for all k = 1..30 together.
+# sep_totals_by_length at order 30 takes 0.03 s for all k = 1..30 together.
 MAX_TOTALS_ORDER = 30
 
 
@@ -192,6 +191,11 @@ def sep_totals_by_length(k: int, order: int, literal: bool = False) -> list[int]
     blocks, for n = 0..order, read off the q-derivative at q = 1 of the
     distribution series summed over all records a.
 
+    Each distribution series is expanded at q = 1 + e modulo e^2: a
+    coefficient p(q) is kept as the pair p(1), p'(1), the start q^c is
+    (1, c), and a factor with L(1) = j and L'(1) = w takes (v, d) to
+    (j*v, j*d + w*v); w is 0 for a count and j(j+1)/2 for q + ... + q^j.
+
     >>> sep_totals_by_length(2, 4)
     [0, 0, 1, 4, 11]
     """
@@ -199,7 +203,12 @@ def sep_totals_by_length(k: int, order: int, literal: bool = False) -> list[int]
         raise ValueError(f"need 1 <= k <= order <= {MAX_TOTALS_ORDER}, got k={k}, order={order}")
     totals = [0] * (order + 1)
     for a in range(1, k + 1):
-        series = distribution_series(k, a, order, literal=literal)
-        for n, c in enumerate(series.coeffs):
-            totals[n] += c.deriv_at_one()
+        values, derivs = [0] * (order + 1), [0] * (order + 1)
+        values[k], derivs[k] = 1, a * (a - 1) // 2
+        for j, letters in _factors(k, a, literal):
+            w = j * (j + 1) // 2 if letters else 0
+            for m in range(k + 1, order + 1):
+                values[m], derivs[m] = (values[m] + j * values[m - 1],
+                                        derivs[m] + j * derivs[m - 1] + w * values[m - 1])
+        totals = [*map(add, totals, derivs)]
     return totals

@@ -30,15 +30,18 @@ words of each n up to max_n or their own cap: ``MAX_WORD_CHECK_N`` for
 ``max_n``.  ``totals`` and ``bell_total`` read the oracle's census, which
 runs once per n in a process, so the second of them walks no word again;
 ``distribution`` reads one joint walk of the words of [n] per n.  ``pfd``
-evaluates its probes in integers.  Dependencies are called through their
-modules, so patching a module attribute reaches the suites.
+evaluates its probes in integers.  Every CLI start imports this module,
+so it loads only the light ``counting``, ``oracle``, ``setpart`` and
+``stats``; a suite imports ``formulas``, ``series`` or ``fractions`` when
+it runs.
+Dependencies are called through their modules, so patching a module
+attribute reaches the suites.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
 
-from . import counting, formulas, oracle, series, setpart, stats
+from . import counting, oracle, setpart, stats
 
 MAX_WORD_CHECK_N = 9
 
@@ -89,6 +92,7 @@ def stats_dual(max_n: int) -> tuple[bool, str]:
 
 
 def totals(max_n: int) -> tuple[bool, str]:
+    from . import formulas, series
     _check_max_n(max_n)
     # each series route gives the totals of every n <= max_n for its k at once
     rationals = {k: formulas.rational_series_totals(k, max_n) for k in range(1, max_n + 1)}
@@ -111,6 +115,7 @@ def totals(max_n: int) -> tuple[bool, str]:
 
 
 def bell_total(max_n: int) -> tuple[bool, str]:
+    from . import formulas
     _check_max_n(max_n)
     for n in range(1, max_n + 1):
         if formulas.total_sep_n(n) != oracle.brute_total(n):
@@ -119,6 +124,7 @@ def bell_total(max_n: int) -> tuple[bool, str]:
 
 
 def distribution(max_n: int) -> tuple[bool, str]:
+    from . import series
     _check_max_n(max_n)
     top = min(max_n, oracle.MAX_DIST_N)
     cells = 0
@@ -132,6 +138,9 @@ def distribution(max_n: int) -> tuple[bool, str]:
 
 
 def pfd(max_n: int) -> tuple[bool, str]:
+    from fractions import Fraction
+
+    from . import formulas
     _check_max_n(max_n)
     for k in range(1, 16):
         closed = formulas.pfd_coeffs(k)
@@ -146,6 +155,7 @@ def pfd(max_n: int) -> tuple[bool, str]:
 
 
 def egf(max_n: int) -> tuple[bool, str]:
+    from . import formulas
     _check_max_n(max_n)
     coeffs = formulas.egf_coeffs(30)
     for n in range(1, 31):
@@ -159,6 +169,7 @@ def egf(max_n: int) -> tuple[bool, str]:
 
 
 def integrality(max_n: int) -> tuple[bool, str]:
+    from . import formulas
     _check_max_n(max_n)
     b = counting.bell_numbers(203)
     for n in range(1, 201):
@@ -169,6 +180,7 @@ def integrality(max_n: int) -> tuple[bool, str]:
 
 
 def rowsum(max_n: int) -> tuple[bool, str]:
+    from . import formulas
     _check_max_n(max_n)
     for n in range(1, 41):
         by_k = sum(formulas.total_sep_nk(n, k) for k in range(1, n + 1))

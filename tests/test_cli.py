@@ -178,13 +178,35 @@ def test_total_by_k_at_the_stirling_budget_stays_small(k):
         proc.wait()
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    script = ("import sys\nimport seprec.cli\n"
-              "print(sorted({'multiprocessing', 'concurrent.futures.process', 'dataclasses', 'inspect'}"
-              " & set(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+def _loaded_by_a_fresh_cli(watched, *argv):
+    """The names of ``watched`` in sys.modules after a fresh process imports
+    seprec.cli and, given an argv, runs that command."""
+    script = ("import sys\nfrom seprec import cli\n"
+              "if sys.argv[1:]:\n    assert cli.main(sys.argv[1:]) == 0\n"
+              f"print(sorted({set(watched)!r} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    assert _loaded_by_a_fresh_cli({"multiprocessing", "concurrent.futures.process", "dataclasses", "inspect"}) == "[]"
+
+
+# A CLI start compiles every module it imports; these commands need none of
+# the modules below.
+HEAVY = ("seprec.formulas", "seprec.series", "seprec.asymptotics", "fractions", "json", "csv")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (("stat", "--word", "121132"), HEAVY),
+    (("stat", "--word", "121132", "--stats", "sep,sep_a,srec,swrec,records", "--a", "2"), HEAVY),
+    (("enumerate", "--n", "4"), HEAVY),
+    (("enumerate", "--n", "12", "--k", "11"), HEAVY),
+    (("total", "--n", "10"), ("seprec.series", "seprec.asymptotics")),
+], ids=["stat", "stat-all", "enumerate", "enumerate-k", "total"])
+def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
+    assert _loaded_by_a_fresh_cli(unloaded, *argv) == "[]"
 
 
 def test_stat_sep(capsys):

@@ -3,7 +3,11 @@ import importlib
 import inspect
 import itertools
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import seprec
 
@@ -18,6 +22,27 @@ def test_star_import_exports_every_listed_name():
     assert len(set(seprec.__all__)) == len(seprec.__all__)
     for name in seprec.__all__:
         assert namespace[name] is getattr(seprec, name), name
+
+
+def test_every_export_is_the_object_of_its_home_module():
+    # each name is looked up in its home module on access, so a patch there
+    # reaches the package name too
+    assert sorted(name for names in seprec._EXPORTS.values() for name in names) == seprec.__all__
+    for name, module in seprec._HOME.items():
+        obj = getattr(seprec, name)
+        assert obj is getattr(importlib.import_module(f"seprec.{module}"), name), name
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            assert obj.__module__ == f"seprec.{module}", name
+    assert set(seprec.__all__) <= set(dir(seprec))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        seprec.no_such_name  # noqa: B018
+
+
+def test_importing_the_package_loads_no_module_of_it():
+    script = "import sys\nimport seprec\nprint(sorted(m for m in sys.modules if m.startswith('seprec')))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['seprec']\n"
 
 
 def _literal(tree: ast.Module, name: str):

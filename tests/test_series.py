@@ -33,7 +33,6 @@ def test_qpoly_arithmetic():
 def test_qpoly_evaluations():
     p = QPoly((5, 0, 2, 1))  # 5 + 2q^2 + q^3
     assert p.at_one() == 8
-    assert p.deriv_at_one() == 0 * 5 + 2 * 2 + 3 * 1
     assert format_qpoly(p) == "5*q^0 + 2*q^2 + 1*q^3"
     assert format_qpoly(QPoly()) == "0"
 
@@ -128,6 +127,17 @@ def test_sep_totals_by_length_matches_enumeration():
     for n in range(1, 9):
         for k in range(1, n + 1):
             assert sep_totals_by_length(k, n)[n] == brute_total_nk(n, k)
+
+
+@pytest.mark.parametrize("literal", [False, True])
+def test_sep_totals_by_length_is_the_q_derivative_of_the_distribution_series(literal):
+    # the route through (p(1), p'(1)) pairs against the full q-polynomials
+    for order in range(1, 13):
+        for k in range(1, order + 1):
+            by_a = [distribution_series(k, a, order, literal=literal) for a in range(1, k + 1)]
+            want = [sum(s * c for xs in by_a for s, c in enumerate(xs.coefficient(n).coeffs))
+                    for n in range(order + 1)]
+            assert sep_totals_by_length(k, order, literal=literal) == want, (k, order)
 
 
 def test_sep_totals_by_length_matches_rational_series_to_order_30():
