@@ -15,11 +15,8 @@ carries the command name and its parsed arguments as ``params``.  Only
 hold commas) as they are in plain, inside the same json envelope, or as csv
 rows, which quote only the comma words.
 
-At start the module imports only what its module-level names need:
-``counting``, ``setpart``, ``stats`` and ``verify``, whose suites the parser
-lists.  Each command imports ``formulas``, ``series``, ``oracle`` or
-``asymptotics``, and ``json`` or ``csv``, in the branch that uses them, so a
-run loads and compiles only the modules it runs.
+Heavy modules are imported in the branch that runs them, so a CLI start
+loads and compiles only what its command runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or a failed
 write to stdout, 141 stdout closed by its reader (as a shell reports for

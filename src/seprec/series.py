@@ -63,6 +63,10 @@ class QPoly:
         """Value at q = 1 (the plain count)."""
         return sum(self.coeffs)
 
+    def deriv_at_one(self) -> int:
+        """d/dq at q = 1: sum of s * c_s, the total statistic weight."""
+        return sum(s * c for s, c in enumerate(self.coeffs))
+
     def to_dict(self) -> dict[int, int]:
         """Nonzero coefficients as {power: coefficient}."""
         return {s: c for s, c in enumerate(self.coeffs) if c}

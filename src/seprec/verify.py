@@ -31,11 +31,9 @@ words of each n up to max_n or their own cap: ``MAX_WORD_CHECK_N`` for
 runs once per n in a process, so the second of them walks no word again;
 ``distribution`` reads one joint walk of the words of [n] per n.  ``pfd``
 evaluates its probes in integers.  Every CLI start imports this module,
-so it loads only the light ``counting``, ``oracle``, ``setpart`` and
-``stats``; a suite imports ``formulas``, ``series`` or ``fractions`` when
-it runs.
-Dependencies are called through their modules, so patching a module
-attribute reaches the suites.
+so heavy modules are imported in the suite that runs them.  Dependencies
+are called through their modules, so patching a module attribute reaches
+the suites.
 """
 from __future__ import annotations
 

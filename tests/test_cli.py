@@ -233,6 +233,10 @@ def test_stat_sep_a_and_records(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["records 1:1,2:2,3:5", "sep_a(3) 5"]
+    # csv writes the record pairs as their json text, quoted for its commas
+    code, out, _ = run_cli(capsys, "stat", "--word", "121132", "--stats", "records,sep", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["stat,value", 'records,"[[1, 1], [2, 2], [3, 5]]"', "sep,6"]
 
 
 @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
