@@ -27,6 +27,7 @@ digits it reads from the prefix's largest letter.
 from __future__ import annotations
 
 from itertools import chain, starmap
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -74,10 +75,14 @@ def to_blocks(word: Sequence[int]) -> list[list[int]]:
     >>> to_blocks((1, 2, 1, 1, 3, 2))
     [[1, 3, 4], [2, 6], [5]]
     """
-    w = validate(word)
-    blocks: list[list[int]] = [[] for _ in range(max(w))]
-    for i, v in enumerate(w, start=1):
-        blocks[v - 1].append(i)
+    blocks: list[list[int]] = []
+    for i, v in enumerate(validate(word), start=1):
+        # a restricted growth string opens block v at the first letter past
+        # the blocks so far
+        if v > len(blocks):
+            blocks.append([i])
+        else:
+            blocks[v - 1].append(i)
     return blocks
 
 
@@ -93,10 +98,12 @@ def from_blocks(blocks: Sequence[Iterable[int]]) -> Word:
     (1, 1, 2)
     """
     groups = [sorted(b) for b in blocks]
+    if not groups:
+        raise ValueError("empty word is not a canonical form")
     if any(not g for g in groups):
         raise ValueError("blocks must be nonempty")
-    groups.sort(key=lambda g: g[0])
-    n = sum(len(g) for g in groups)
+    groups.sort(key=itemgetter(0))
+    n = sum(map(len, groups))
     word = [0] * n
     for idx, g in enumerate(groups, start=1):
         for i in g:
@@ -105,8 +112,10 @@ def from_blocks(blocks: Sequence[Iterable[int]]) -> Word:
             if word[i - 1]:
                 raise ValueError(f"element {i} appears in more than one block")
             word[i - 1] = idx
-    # every slot filled iff blocks cover [n]
-    return validate(word)
+    # n distinct elements of 1..n fill all n slots, and blocks numbered by
+    # increasing minima give a restricted growth string, so the word needs
+    # no second check
+    return tuple(word)
 
 
 def _walk(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterator[tuple[Word, int]]:

@@ -93,25 +93,33 @@ def sep(word: Sequence[int]) -> int:
 
 def sep_by_positions(word: Sequence[int]) -> int:
     """``sep`` computed by the dual formula: each letter counts once for every
-    record strictly after it, so the total is sum over positions p of
-    word[p] * #{records at positions > p}.
+    record strictly after it.  With r(p) the number of records at positions
+    <= p and k the number of records, the letter at p counts k - r(p) times,
+    so the total is k * sum(word) - sum over p of word[p] * r(p), taken in
+    one left-to-right pass.
 
-    Kept as an independent implementation for cross-checking ``sep``.
+    An independent implementation for cross-checking ``sep``: it counts
+    records after each letter where ``sep`` sums the letters before each
+    record, and it calls neither ``sep`` nor ``sep_a``.
 
     >>> sep_by_positions((1, 2, 1, 1, 3, 2))
     6
     """
-    recs = records(word)
-    positions = [pos for _, pos in recs]
-    total = 0
-    remaining = len(positions)
-    next_rec = 0  # index into positions of the first record at position > p
-    for p, v in enumerate(word, start=1):
-        if next_rec < len(positions) and positions[next_rec] == p:
-            next_rec += 1
-            remaining -= 1
-        total += v * remaining
-    return total
+    if not word:
+        raise ValueError("records of an empty word are undefined")
+    k = 0  # records so far, r(p)
+    biggest = 0
+    letters = 0  # sum of the letters so far
+    weighted = 0  # sum of word[q] * r(q) over the positions q so far
+    for pos, v in enumerate(word, start=1):
+        if v < 1:
+            raise ValueError(f"letters must be positive integers, got {v} at position {pos}")
+        if v > biggest:
+            biggest = v
+            k += 1
+        letters += v
+        weighted += v * k
+    return k * letters - weighted
 
 
 def srec(word: Sequence[int]) -> int:

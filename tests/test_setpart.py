@@ -75,12 +75,31 @@ def test_from_blocks_examples():
 
 
 def test_from_blocks_rejects_bad_partitions():
-    with pytest.raises(ValueError, match="more than one block"):
-        from_blocks([[1, 2], [2, 3]])
-    with pytest.raises(ValueError, match="outside"):
-        from_blocks([[1], [3]])
-    with pytest.raises(ValueError, match="nonempty"):
-        from_blocks([[1], []])
+    for blocks, error, message in (
+        ([[1, 2], [2, 3]], ValueError, "element 2 appears in more than one block"),
+        ([[1, 1]], ValueError, "element 1 appears in more than one block"),
+        ([[0, 1]], ValueError, "element 0 outside 1..2"),
+        ([[1], [3]], ValueError, "element 3 outside 1..2"),
+        ([[1], []], ValueError, "blocks must be nonempty"),
+        ([[1, 2.5]], ValueError, "element 2.5 outside 1..2"),
+        ([[1.0]], TypeError, "list indices must be integers or slices, not float"),
+        ([], ValueError, "empty word is not a canonical form"),
+    ):
+        with pytest.raises(error) as info:
+            from_blocks(blocks)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("word, message", [
+    ((1, 3), "not a restricted growth string at position 2: 3 exceeds running maximum 1 + 1"),
+    ((), "empty word is not a canonical form"),
+    ((1, True), "not a restricted growth string at position 2: letters must be positive integers, got True"),
+])
+def test_to_blocks_error_messages(word, message):
+    with pytest.raises(ValueError) as info:
+        to_blocks(word)
+    assert str(info.value) == message
 
 
 def test_roundtrip_exhaustive():
@@ -414,6 +433,21 @@ def test_parse_word():
 def test_random_rgs_validate_and_roundtrip(word):
     assert validate(word) == word
     assert from_blocks(to_blocks(word)) == word
+
+
+@given(st.integers(min_value=1, max_value=12).flatmap(
+    lambda n: st.lists(st.integers(min_value=0, max_value=n - 1), min_size=n, max_size=n)), st.data())
+def test_random_partition_in_any_block_order(labels, data):
+    # element i lies in the block labelled labels[i - 1]; the canonical word
+    # numbers the labels by their first occurrence
+    groups = {}
+    for i, label in enumerate(labels, start=1):
+        groups.setdefault(label, set()).add(i)
+    blocks = data.draw(st.permutations(list(groups.values())))
+    first = {}
+    word = tuple(first.setdefault(label, len(first) + 1) for label in labels)
+    assert from_blocks(blocks) == word
+    assert to_blocks(word) == sorted(sorted(b) for b in blocks)
 
 
 @given(rgs_words)

@@ -81,6 +81,16 @@ def test_sep_dominates_each_sep_a(word):
         assert sep(word) >= sep_a(word, v)
 
 
+@pytest.mark.parametrize("word, message", [
+    ((), "records of an empty word are undefined"),
+    ((1, 0, 2), "letters must be positive integers, got 0 at position 2"),
+])
+def test_dual_formula_error_messages(word, message):
+    with pytest.raises(ValueError) as info:
+        sep_by_positions(word)
+    assert str(info.value) == message
+
+
 def test_dual_formula_exhaustive_on_canonical_forms():
     for n in range(1, 9):
         for w in iterate_all(n):
