@@ -20,13 +20,14 @@ which it tracks anyway, so no stream looks for that letter again.
 Text form: a word prints as a bare digit string when its largest letter is at
 most 9 (e.g. ``12231``) and as comma-separated integers otherwise.
 :func:`lines` streams that text for a whole listing from the same prefixes
-and tails: the text of a tail is made once per listing, and the digit words
-after one prefix are formatted as one chunk.  Whether they all print as
-digits it reads from the prefix's largest letter.
+and tails: the text of a tail is made once per listing, and each run of
+digit words after one prefix is formatted as one chunk.  Which tails print
+as digits it reads once per listing for each largest letter of a prefix up
+to 9; past 9 every word prints with commas.
 """
 from __future__ import annotations
 
-from itertools import chain, starmap
+from itertools import chain, groupby, starmap
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -307,41 +308,52 @@ def _text(word: Sequence[int], biggest: int) -> str:
 
 def _chunks(head: list[int], low: int, high: int) -> Iterator[str]:
     """The text of :func:`lines`, from the prefixes and tails of a walk of
-    the words in the buffer ``head``.  The completions of a prefix with
-    largest letter b reach at most b + depth, so they all print as digits
-    when that is at most 9."""
+    the words in the buffer ``head``.  After a prefix whose largest letter
+    b is at most 9, the tails that keep every letter at most 9 come in
+    maximal runs, in order, each run one chunk; a tail that reaches letter
+    10, which prints with commas, is a chunk of its own.  Without a block
+    count the longest run follows b = 7: all of its 537 three-letter tails
+    but the last, 8,9,10."""
     depth, prefixes, tails = _split(head, 1, 1, low, high)
     m = len(head)
-    # per largest letter b of a prefix whose completions print as digits:
-    # the text of its tails, walked here and not kept as tuples in _split
-    texts: dict[int, list[str]] = {}
+    # per largest letter b <= 9 of a prefix: its tails, walked here and kept
+    # as text only, not also as tuples in _split; a digit run is a list of
+    # digit tails, a comma tail the string after the prefix's last letter
+    runs: dict[int, list[tuple[bool, list[str] | str]]] = {}
     for prefix, b in prefixes:
-        if b + depth <= 9:
-            found = texts.get(b)
+        if b <= 9:
+            found = runs.get(b)
             if found is None:
-                found = texts[b] = [bytes(tail).translate(_DIGITS).decode("ascii") + "\n"
-                                    for tail, _ in _walk([1] * depth, 0, b, low, high)]
+                found = runs[b] = []
+                for digits, group in groupby(_walk([1] * depth, 0, b, low, high), lambda pair: pair[1] <= 9):
+                    if digits:
+                        found.append((True, [bytes(tail).translate(_DIGITS).decode("ascii") + "\n"
+                                             for tail, _ in group]))
+                    else:
+                        found.extend((False, "," + ",".join(map(str, tail)) + "\n") for tail, _ in group)
             text = bytes(prefix).translate(_DIGITS).decode("ascii")
-            yield text + text.join(found)
+            for digits, run in found:
+                # each letter of a digit prefix is one character of its text
+                yield text + text.join(run) if digits else ",".join(text) + run
         else:
-            # a completion may reach letter 10, which prints with commas;
-            # words are built at the end of head, beside no copy of the
-            # prefix, and cut off before the prefix walk resumes
+            # every completion prints with commas; words are built at the
+            # end of head, beside no copy of the prefix, and cut off before
+            # the prefix walk resumes
             del prefix
             for tail in tails(b):
                 head[m:] = tail
-                yield _text(head, max(b, *tail)) + "\n"
+                yield _text(head, b) + "\n"
             del head[m:]
 
 
 def lines(n: int, k: int | None = None) -> Iterator[str]:
     """Text of the listing ``iterate_all(n)``, or ``iterate_with_k(n, k)``
     when ``k`` is given, in chunks of newline-terminated :func:`format_word`
-    lines.  A chunk holds the digit words that share all but their last
-    three letters (the last letter once n > 120, so that long words still
-    stream), at most 504 of them (9 once n > 120), or one word that may
-    reach a letter past 9.  Sizes are checked at call time, with the
-    messages of the tuple generators.
+    lines.  A chunk holds a maximal run of digit words that share all but
+    their last three letters (the last letter once n > 120, so that long
+    words still stream), at most 536 of them without ``k`` and k**3 with
+    ``k`` (9 once n > 120), or one word with a letter past 9.  Sizes are
+    checked at call time, with the messages of the tuple generators.
 
     >>> list(lines(3))
     ['111\\n112\\n121\\n122\\n123\\n']

@@ -83,7 +83,7 @@ def stats_dual(max_n: int) -> tuple[bool, str]:
             if stats.sep(w) != stats.sep_by_positions(w):
                 return False, f"sep dual formulas differ on {setpart.format_word(w)}"
             recs = stats.records(w)
-            if [v for v, _ in recs] != list(range(1, max(w) + 1)):
+            if [v for v, _ in recs] != list(range(1, len(recs) + 1)):
                 return False, f"record values are not 1..k on {setpart.format_word(w)}"
             total += 1
     return True, f"sep dual formula and record structure hold on {total} words (n <= {top})"

@@ -348,26 +348,47 @@ def _lines_cases():
     yield from ((12, k) for k in range(7, 13))
 
 
-def _check_chunk(n, chunk):
-    """A chunk of lines(n) holds one word if it has a comma; else at most
-    504 words that share all but their last three letters, or at most 9
-    words once n > 120."""
+# Without k the largest digit chunk follows a prefix whose largest letter is
+# 7: its 7 * c(7) + c(8) = 537 three-letter completions, where
+# c(b) = b**2 + 2*b + 2 counts those of two letters after largest letter b,
+# all digits but the last, 8,9,10.  With k <= 9 it follows a prefix whose
+# largest letter is k: all k**3 tails over the letters 1..k.
+_MAX_DIGIT_CHUNK = 7 * (7**2 + 2 * 7 + 2) + (8**2 + 2 * 8 + 2) - 1
+
+
+def _check_chunk(n, k, chunk):
+    """A chunk of lines(n, k) holds one word if it has a comma; else at most
+    536 words (k**3 with k) that share all but their last three letters, or
+    at most 9 words once n > 120."""
     assert chunk.endswith("\n")
     words = chunk.splitlines()
     if "," in chunk:
-        assert len(words) == 1, (n, chunk)
+        assert len(words) == 1, (n, k, chunk)
     elif n <= 120:
-        assert len(words) <= 504 and len({w[:n - 3] for w in words}) == 1, (n, chunk)
+        most = _MAX_DIGIT_CHUNK if k is None else k**3
+        assert len(words) <= most and len({w[:n - 3] for w in words}) == 1, (n, k, chunk)
     else:
-        assert len(words) <= 9, (n, chunk)
+        assert len(words) <= 9, (n, k, chunk)
+
+
+def _check_runs(n, chunks):
+    """Digit chunks are maximal runs: two in a row never share the prefix
+    that the words of each share."""
+    cut = n - 3 if n <= 120 else n - 1
+    for first, second in itertools.pairwise(chunks):
+        if "," not in first and "," not in second:
+            assert first[:cut] != second[:cut], (n, first, second)
 
 
 @pytest.mark.listings(*((n, k, "plain") for n, k in _lines_cases()))
 def test_lines_match_format_word_per_word(reference):
     for n, k in _lines_cases():
+        chunks = list(lines(n, k))
+        _check_runs(n, chunks)
+
         def write(out):
-            for chunk in lines(n, k):
-                _check_chunk(n, chunk)
+            for chunk in chunks:
+                _check_chunk(n, k, chunk)
                 out.write(chunk)
         assert reference.digest(write)[1:] == reference.listing(n)[k]["plain"], (n, k)
 
@@ -384,14 +405,13 @@ def test_lines_match_format_word_across_the_depth_switch(reference, n, k):
     want = itertools.islice(reference.canonical_texts(n, k, prefix=(1,) * (n - 12)), count)
     assert text == "".join(word + "\n" for word in want), (n, k)
     for chunk in chunks:
-        _check_chunk(n, chunk)
+        _check_chunk(n, k, chunk)
+    _check_runs(n, chunks)
 
 
 def test_lines_chunks_at_the_benchmark_size():
-    # the largest digit chunk of lines(11) follows a prefix whose largest
-    # letter is 6: 6 * 50 + 65 = 365 completions of three letters, where
-    # c(b) = b**2 + 2*b + 2 counts those of two letters after largest letter b
-    assert max(chunk.count("\n") for chunk in lines(11)) == 6 * (6**2 + 2 * 6 + 2) + (7**2 + 2 * 7 + 2) == 365
+    assert max(chunk.count("\n") for chunk in lines(11)) == _MAX_DIGIT_CHUNK == 536
+    assert max(chunk.count("\n") for chunk in lines(12, 9)) == 9**3
 
 
 def test_lines_keep_each_tail_once():
