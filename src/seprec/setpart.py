@@ -11,19 +11,17 @@ lexicographic, with word length bound by ``MAX_WORD_LENGTH``, not by the
 recursion limit; generators yield fresh tuples, storable without copying.
 The last three letters of a word (the last one once n > 120, so that long
 words still stream) depend only on the largest letter before them (Knuth,
-TAOCP 4A, 7.2.1.5).  So every stream walks only the prefixes before them
-and takes those letters from a table made once per call for each largest
-letter up to 9, or walked afresh past it: a word is one tuple addition of a
-prefix and a tail.  The walk yields each prefix with its largest letter,
-which it tracks anyway, so no stream looks for that letter again.
+TAOCP 4A, 7.2.1.5).  So every stream walks the prefixes before them, each
+with its largest letter, which the walk tracks anyway, and walks those
+letters, the tails, apart.  Each stream keeps the tails after each largest
+letter up to 9, once per call, and walks them afresh past it; the tuple
+generators keep tuples, and make a word as one tuple addition.
 
 Text form: a word prints as a bare digit string when its largest letter is at
 most 9 (e.g. ``12231``) and as comma-separated integers otherwise.
 :func:`lines` streams that text for a whole listing from the same prefixes
-and tails: the text of a tail is made once per listing, and each run of
-digit words after one prefix is formatted as one chunk.  Which tails print
-as digits it reads once per listing for each largest letter of a prefix up
-to 9; past 9 every word prints with commas.
+and tails: it keeps them as text, in runs of digit tails, and formats each
+run after one prefix as one chunk; past 9 every word prints with commas.
 """
 from __future__ import annotations
 
@@ -153,52 +151,51 @@ def _walk(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterato
         t += 1
 
 
-# Largest letter b of a prefix whose tails _split keeps.  About b**3
+# Largest letter b of a prefix whose tails _words keeps.  About b**3
 # three-letter tails follow such a prefix; for all b <= 9 they number at
 # most 3,195, where keeping them for b = 100 would take a million tuples.
 _TABLE_MAX = 9
 
 
 def _split(word: list[int], i: int, biggest: int, low: int,
-           high: int) -> tuple[int, Iterator[tuple[Word, int]], Callable[[int], Iterable[Word]]]:
+           high: int) -> tuple[Iterator[tuple[Word, int]], Callable[[int], Iterator[tuple[Word, int]]]]:
     """The completions that ``_walk(word, i, biggest, low, high)`` yields, as
     prefixes followed by tails.
 
     Cuts the buffer ``word`` to the prefix length n - depth, where depth is
     3 letters (1 once n > 120, so that long words still stream) but never
-    reaches into ``word[:i]``, and returns ``(depth, prefixes, tails)``:
+    reaches into ``word[:i]``, and returns ``(prefixes, tails)``:
     ``prefixes`` walks the prefixes in ``word``, each with its largest
-    letter b, and ``tails(b)`` gives, in order, the depth-letter completions
+    letter b, and ``tails(b)`` walks, in order, the depth-letter completions
     of a prefix whose largest letter is b, which depend on nothing else
-    (Knuth, TAOCP 4A, 7.2.1.5): those of ``_walk([1] * depth, 0, b, low,
-    high)`` without their largest letters.  They are walked once per call
-    for each b up to ``_TABLE_MAX`` and kept, and walked afresh for each
-    prefix past it.
+    (Knuth, TAOCP 4A, 7.2.1.5): the pairs of ``_walk([1] * depth, 0, b, low,
+    high)``, walked afresh on each call.
     """
     n = len(word)
     depth = min(3 if n <= 120 else 1, n - i)
     del word[n - depth:]
-    table: dict[int, list[Word]] = {}
 
-    def tails(b: int) -> Iterable[Word]:
-        found = table.get(b)
-        if found is None:
-            found = (tail for tail, _ in _walk([1] * depth, 0, b, low, high))
-            if b <= _TABLE_MAX:
-                found = table[b] = list(found)
-        return found
+    def tails(b: int) -> Iterator[tuple[Word, int]]:
+        return _walk([1] * depth, 0, b, low, high)
 
     # a prefix may miss low by as many letters as its tail adds
-    return depth, _walk(word, i, biggest, max(low - depth, 1), high), tails
+    return _walk(word, i, biggest, max(low - depth, 1), high), tails
 
 
 def _words(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterator[Word]:
     """The words that ``_walk(word, i, biggest, low, high)`` yields, each one
-    tuple addition of a prefix and a tail."""
-    _, prefixes, tails = _split(word, i, biggest, low, high)
+    tuple addition of a prefix and a tail, which is kept once per call for
+    each largest letter of a prefix up to ``_TABLE_MAX``."""
+    prefixes, tails = _split(word, i, biggest, low, high)
+    table: dict[int, list[Word]] = {}
 
     def after(prefix: Word, b: int) -> Iterator[Word]:
-        return map(prefix.__add__, tails(b))
+        found = table.get(b)
+        if found is None:
+            found = (tail for tail, _ in tails(b))
+            if b <= _TABLE_MAX:
+                found = table[b] = list(found)
+        return map(prefix.__add__, found)
 
     return chain.from_iterable(starmap(after, prefixes))
 
@@ -278,9 +275,9 @@ def split_by_prefix(n: int, depth: int) -> list[tuple[Word, Iterator[Word]]]:
     return [(p, completions(p)) for p in iterate_all(depth)]
 
 
-# Letters 0-9 to their ASCII digits, for the digit text in lines, whose
-# letters are 1-9; the other 246 bytes only pad the table to the 256 that
-# bytes.translate takes.
+# Letters 0-9 to their ASCII digits, for the text of each digit prefix in
+# lines, whose letters are 1-9; the other 246 bytes only pad the table to
+# the 256 that bytes.translate takes.
 _DIGITS = b"0123456789" + b"\x80" * 246
 
 
@@ -313,24 +310,24 @@ def _chunks(head: list[int], low: int, high: int) -> Iterator[str]:
     maximal runs, in order, each run one chunk; a tail that reaches letter
     10, which prints with commas, is a chunk of its own.  Without a block
     count the longest run follows b = 7: all of its 537 three-letter tails
-    but the last, 8,9,10."""
-    depth, prefixes, tails = _split(head, 1, 1, low, high)
+    but the last, 8,9,10.  The tails after each b up to 9 are walked and
+    formatted once per listing and kept as text only; past 9 they are
+    walked afresh for each prefix."""
+    prefixes, tails = _split(head, 1, 1, low, high)
     m = len(head)
-    # per largest letter b <= 9 of a prefix: its tails, walked here and kept
-    # as text only, not also as tuples in _split; a digit run is a list of
-    # digit tails, a comma tail the string after the prefix's last letter
+    # per b <= 9: a digit run is a list of digit tails, a comma tail the
+    # string after the prefix's last letter
     runs: dict[int, list[tuple[bool, list[str] | str]]] = {}
     for prefix, b in prefixes:
         if b <= 9:
             found = runs.get(b)
             if found is None:
                 found = runs[b] = []
-                for digits, group in groupby(_walk([1] * depth, 0, b, low, high), lambda pair: pair[1] <= 9):
+                for digits, group in groupby(tails(b), lambda pair: pair[1] <= 9):
                     if digits:
-                        found.append((True, [bytes(tail).translate(_DIGITS).decode("ascii") + "\n"
-                                             for tail, _ in group]))
+                        found.append((True, [_text(tail, top) + "\n" for tail, top in group]))
                     else:
-                        found.extend((False, "," + ",".join(map(str, tail)) + "\n") for tail, _ in group)
+                        found.extend((False, "," + _text(tail, top) + "\n") for tail, top in group)
             text = bytes(prefix).translate(_DIGITS).decode("ascii")
             for digits, run in found:
                 # each letter of a digit prefix is one character of its text
@@ -340,9 +337,9 @@ def _chunks(head: list[int], low: int, high: int) -> Iterator[str]:
             # end of head, beside no copy of the prefix, and cut off before
             # the prefix walk resumes
             del prefix
-            for tail in tails(b):
+            for tail, top in tails(b):
                 head[m:] = tail
-                yield _text(head, b) + "\n"
+                yield _text(head, top) + "\n"
             del head[m:]
 
 

@@ -346,6 +346,9 @@ def _lines_cases():
     yield 11, None
     yield from ((11, k) for k in range(1, 12))
     yield from ((12, k) for k in range(7, 13))
+    # at n = 13 the ten-letter prefixes reach letter 10, whose tails lines
+    # walks afresh for each prefix into a line per word
+    yield from ((13, k) for k in range(10, 14))
 
 
 # Without k the largest digit chunk follows a prefix whose largest letter is
@@ -415,8 +418,8 @@ def test_lines_chunks_at_the_benchmark_size():
 
 
 def test_lines_keep_each_tail_once():
-    # the tails of a digit prefix are kept as text only, not also as tuples;
-    # measured in a fresh process, where nothing else has been traced
+    # lines keeps the tails of a digit prefix as text only, and builds no
+    # tuple table; measured in a fresh process, where nothing else is traced
     script = ("import tracemalloc\nfrom seprec import setpart\ntracemalloc.start()\n"
               "for _ in setpart.lines(11):\n    pass\nprint(tracemalloc.get_traced_memory()[1])\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
