@@ -12,8 +12,9 @@ picks the one that ``--format`` asks for and writes it; the json envelope
 carries the command name and its parsed arguments as ``params``.  Only
 ``enumerate`` writes its own output: it streams the text chunks of
 ``setpart.lines`` (the digit words after one prefix, or one word that may
-hold commas) as they are in plain, inside the same json envelope, or as csv
-rows, which quote only the comma words.
+hold commas) as they are in plain, as csv rows, which quote only the comma
+words, or inside the same json envelope, for which ``lines`` ends each word
+with json's separator instead of a newline.
 
 Heavy modules are imported in the branch that runs them, so a CLI start
 loads and compiles only what its command runs.
@@ -86,6 +87,7 @@ def _name_list(text: str, what: str, known) -> list[str]:
 
 def _cmd_enumerate(args, out: TextIO) -> int:
     n, k = args.n, args.k
+    # lines checks n and k when called, before json counts the words
     chunks = setpart.lines(n, k)
     # A word holds only digits and commas, so f'"{w}"' is both its json
     # string and its quoted csv field; a digit word needs no csv quotes, and
@@ -105,10 +107,12 @@ def _cmd_enumerate(args, out: TextIO) -> int:
         head, between, tail = frame.split('"@"')
         separator = '"' + between + '"'
         out.write(head + '"')
+        # every word ends with the separator; the last one's is cut back
+        # to its closing quote
         text = ""
-        for chunk in chunks:
+        for chunk in setpart.lines(n, k, end=separator):
             out.write(text)
-            text = chunk.replace("\n", separator)
+            text = chunk
         out.write(text[:1 - len(separator)] + tail + "\n")
     return 0
 

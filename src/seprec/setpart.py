@@ -22,6 +22,8 @@ most 9 (e.g. ``12231``) and as comma-separated integers otherwise.
 :func:`lines` streams that text for a whole listing from the same prefixes
 and tails: it keeps them as text, in runs of digit tails, and formats each
 run after one prefix as one chunk; past 9 every word prints with commas.
+Each word ends with a newline, or with the text the caller asks for (json
+asks for its separator), so the chunks come in the form they are written.
 """
 from __future__ import annotations
 
@@ -275,9 +277,9 @@ def split_by_prefix(n: int, depth: int) -> list[tuple[Word, Iterator[Word]]]:
     return [(p, completions(p)) for p in iterate_all(depth)]
 
 
-# Letters 0-9 to their ASCII digits, for the text of each digit prefix in
-# lines, whose letters are 1-9; the other 246 bytes only pad the table to
-# the 256 that bytes.translate takes.
+# Letters 0-9 to their ASCII digits, for the text of the digit prefixes and
+# tails in lines, whose letters are 1-9; the other 246 bytes only pad the
+# table to the 256 that bytes.translate takes.
 _DIGITS = b"0123456789" + b"\x80" * 246
 
 
@@ -303,20 +305,21 @@ def _text(word: Sequence[int], biggest: int) -> str:
     return ("" if biggest <= 9 else ",").join(map(str, word))
 
 
-def _chunks(head: list[int], low: int, high: int) -> Iterator[str]:
-    """The text of :func:`lines`, from the prefixes and tails of a walk of
-    the words in the buffer ``head``.  After a prefix whose largest letter
-    b is at most 9, the tails that keep every letter at most 9 come in
-    maximal runs, in order, each run one chunk; a tail that reaches letter
-    10, which prints with commas, is a chunk of its own.  Without a block
-    count the longest run follows b = 7: all of its 537 three-letter tails
-    but the last, 8,9,10.  The tails after each b up to 9 are walked and
-    formatted once per listing and kept as text only; past 9 they are
-    walked afresh for each prefix."""
+def _chunks(head: list[int], low: int, high: int, end: str) -> Iterator[str]:
+    """The text of :func:`lines`, each word followed by ``end``, from the
+    prefixes and tails of a walk of the words in the buffer ``head``.  After
+    a prefix whose largest letter b is at most 9, the tails that keep every
+    letter at most 9 come in maximal runs, in order, each run one chunk; a
+    tail that reaches letter 10, which prints with commas, is a chunk of its
+    own.  Without a block count the longest run follows b = 7: all of its
+    537 three-letter tails but the last, 8,9,10.  The tails after each b up
+    to 9 are walked and formatted once per listing and kept as text only;
+    past 9 they are walked afresh for each prefix."""
     prefixes, tails = _split(head, 1, 1, low, high)
     m = len(head)
-    # per b <= 9: a digit run is a list of digit tails, a comma tail the
-    # string after the prefix's last letter
+    # per b <= 9: a digit run is "" and then its digit tails, so that joining
+    # it with a prefix's text puts the prefix before every tail; a comma
+    # tail is the string after the prefix's last letter
     runs: dict[int, list[tuple[bool, list[str] | str]]] = {}
     for prefix, b in prefixes:
         if b <= 9:
@@ -325,13 +328,14 @@ def _chunks(head: list[int], low: int, high: int) -> Iterator[str]:
                 found = runs[b] = []
                 for digits, group in groupby(tails(b), lambda pair: pair[1] <= 9):
                     if digits:
-                        found.append((True, [_text(tail, top) + "\n" for tail, top in group]))
+                        found.append((True, ["", *(bytes(tail).translate(_DIGITS).decode("ascii") + end
+                                                   for tail, _ in group)]))
                     else:
-                        found.extend((False, "," + _text(tail, top) + "\n") for tail, top in group)
+                        found.extend((False, "," + _text(tail, top) + end) for tail, top in group)
             text = bytes(prefix).translate(_DIGITS).decode("ascii")
             for digits, run in found:
                 # each letter of a digit prefix is one character of its text
-                yield text + text.join(run) if digits else ",".join(text) + run
+                yield text.join(run) if digits else ",".join(text) + run
         else:
             # every completion prints with commas; words are built at the
             # end of head, beside no copy of the prefix, and cut off before
@@ -339,25 +343,33 @@ def _chunks(head: list[int], low: int, high: int) -> Iterator[str]:
             del prefix
             for tail, top in tails(b):
                 head[m:] = tail
-                yield _text(head, top) + "\n"
+                yield _text(head, top) + end
             del head[m:]
 
 
-def lines(n: int, k: int | None = None) -> Iterator[str]:
+def lines(n: int, k: int | None = None, *, end: str = "\n") -> Iterator[str]:
     """Text of the listing ``iterate_all(n)``, or ``iterate_with_k(n, k)``
-    when ``k`` is given, in chunks of newline-terminated :func:`format_word`
-    lines.  A chunk holds a maximal run of digit words that share all but
+    when ``k`` is given, in chunks of :func:`format_word` words, each word
+    followed by ``end``: a newline by default, or the text a caller puts
+    between words, such as a separator that the caller trims after the last
+    word.  ``end`` must be non-empty; the chunks are the same for every
+    ``end``.  A chunk holds a maximal run of digit words that share all but
     their last three letters (the last letter once n > 120, so that long
     words still stream), at most 536 of them without ``k`` and k**3 with
-    ``k`` (9 once n > 120), or one word with a letter past 9.  Sizes are
-    checked at call time, with the messages of the tuple generators.
+    ``k`` (9 once n > 120), or one word with a letter past 9.  Sizes and
+    ``end`` are checked at call time, sizes with the messages of the tuple
+    generators.
 
     >>> list(lines(3))
     ['111\\n112\\n121\\n122\\n123\\n']
     >>> list(lines(3, 3))
     ['123\\n']
+    >>> list(lines(3, 2, end=";"))
+    ['112;121;122;']
     """
-    return _chunks([1] * n, *_letter_range(n, k))
+    if not end:
+        raise ValueError("need a non-empty end of word")
+    return _chunks([1] * n, *_letter_range(n, k), end)
 
 
 def parse_word(text: str) -> Word:

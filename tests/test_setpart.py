@@ -412,6 +412,28 @@ def test_lines_match_format_word_across_the_depth_switch(reference, n, k):
     _check_runs(n, chunks)
 
 
+# json's separator between two words of its listing
+_JSON_SEPARATOR = '",\n      "'
+
+
+@pytest.mark.parametrize("n, k, count", [
+    *((n, k, None) for n, k in _lines_cases()),
+    (12, None, None),
+    (121, 2, 2000),
+    (121, 120, 2000),
+])
+def test_lines_end_changes_only_the_word_endings(n, k, count):
+    # the chunks are cut in the same places for every end
+    got = itertools.islice(lines(n, k, end=_JSON_SEPARATOR), count)
+    want = itertools.islice(lines(n, k), count)
+    assert list(got) == [chunk.replace("\n", _JSON_SEPARATOR) for chunk in want], (n, k)
+
+
+def test_lines_refuse_an_empty_end():
+    with pytest.raises(ValueError, match="non-empty end"):
+        lines(3, end="")
+
+
 def test_lines_chunks_at_the_benchmark_size():
     assert max(chunk.count("\n") for chunk in lines(11)) == _MAX_DIGIT_CHUNK == 536
     assert max(chunk.count("\n") for chunk in lines(12, 9)) == 9**3
