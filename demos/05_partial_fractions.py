@@ -9,7 +9,7 @@ reconstructs the function exactly at rational probe points.
 """
 from fractions import Fraction
 
-from seprec import pfd_coeffs, pfd_oracle, pfd_target_value, pfd_value
+from seprec import pfd_coeffs, pfd_oracle, pfd_target_value, pfd_value, variants
 
 k = 4
 closed = pfd_coeffs(k)
@@ -32,6 +32,6 @@ print()
 
 print("the sign of the cubic term matters: the +k^3/12 variant breaks already at k=1:")
 for kk in (1, 2, 3):
-    bad = pfd_coeffs(kk, literal=True)
+    bad = variants.pfd_coeffs(kk)
     good = pfd_oracle(kk)
     print(f"  k={kk}: literal b row {tuple(map(str, bad.b))} vs residue b row {tuple(map(str, good.b))}")

@@ -15,15 +15,11 @@ root solve and the final division of two modest-sized numbers.  A Bell number
 is never converted to float on its own; ratios like total/B_n (of size
 ~ n^3/r^3) are int true divisions, which CPython rounds correctly for ints
 of any size, so they equal ``float(Fraction(p, q))`` to the last bit.
-
-A widely quoted variant of the estimate omits the 1/3; it is available as
-``literal=True`` and demonstrably does not converge (the measured ratio tends
-to 1/3, see the README section on formula variants).
 """
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .counting import bell
 from .formulas import total_sep_n
@@ -77,24 +73,29 @@ class AsymptoticReport(NamedTuple):
     bare_abs_err: float
 
 
-def estimate_ratio(n: int, literal: bool = False) -> AsymptoticReport:
+def _leading_term(n: int, r: float) -> float:
+    """The bare leading term n^3/(3 r^3) of the estimate of total/B_n."""
+    return n**3 / (3.0 * r**3)
+
+
+def estimate_ratio(n: int) -> AsymptoticReport:
     """Measure the asymptotic estimate at ``n``: exact total/B_n (one correctly
     rounded int division) divided by the estimate.
-
-    ``literal=True`` drops the 1/3 from the estimate (the non-validated
-    variant); the default is the form consistent with the Bell-number closed
-    form, whose ratio tends to 1.
 
     >>> estimate_ratio(4).n
     4
     """
+    return _measured(n, _leading_term)
+
+
+def _measured(n: int, leading: Callable[[int, float], float]) -> AsymptoticReport:
+    """The report of ``estimate_ratio`` at ``n`` with the bare term
+    ``leading(n, r)``."""
     if not 1 <= n <= MAX_EXACT_N:
         raise ValueError(f"need 1 <= n <= {MAX_EXACT_N} (exact-computation budget), got {n}")
     r = solve_r(n)
     exact = total_sep_n(n) / bell(n)
-    bare = n**3 / (3.0 * r**3)
-    if literal:
-        bare *= 3.0
+    bare = leading(n, r)
     estimate = bare * (1.0 + r / n)
     ratio = exact / estimate
     bare_ratio = exact / bare
@@ -131,12 +132,17 @@ def bell_shift_error(n: int, h: int) -> float:
 MAX_SWEEP_LEN = 100
 
 
-def sweep(ns: list[int], literal: bool = False) -> list[AsymptoticReport]:
+def sweep(ns: list[int]) -> list[AsymptoticReport]:
     """Reports for each n in ``ns``, in the given order; at most
     ``MAX_SWEEP_LEN`` values of n."""
+    return _swept(ns, estimate_ratio)
+
+
+def _swept(ns: list[int], estimate: Callable[[int], AsymptoticReport]) -> list[AsymptoticReport]:
+    """``estimate(n)`` for each n in ``ns``, in the budget of ``sweep``."""
     if len(ns) > MAX_SWEEP_LEN:
         raise ValueError(f"need at most {MAX_SWEEP_LEN} values of n (sweep budget), got {len(ns)}")
-    return [estimate_ratio(n, literal=literal) for n in ns]
+    return [estimate(n) for n in ns]
 
 
 TABLE_HEADER = ("n", "r", "ratio", "abs_err")

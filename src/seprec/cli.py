@@ -17,7 +17,9 @@ words, or inside the same json envelope, for which ``lines`` ends each word
 with json's separator instead of a newline.
 
 Heavy modules are imported in the branch that runs them, so a CLI start
-loads and compiles only what its command runs.
+loads and compiles only what its command runs.  A ``--literal`` command (or
+``total --method literal``) calls the same function of ``variants``, the
+module of the refuted formula variants, in place of the validated one.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or a failed
 write to stdout, 141 stdout closed by its reader (as a shell reports for
@@ -68,6 +70,15 @@ def _render(args, out: TextIO, result, header, rows, lines) -> None:
     else:
         for line in lines:
             out.write(line + "\n")
+
+
+def _route(module, literal: bool):
+    """``module``, or for a literal command the ``variants`` module, which
+    names each variant as ``module`` names the function it varies."""
+    if literal:
+        from . import variants
+        return variants
+    return module
 
 
 def _name_list(text: str, what: str, known) -> list[str]:
@@ -168,7 +179,8 @@ def _total_value(n: int, k, method: str) -> int:
     if method in ("series", "literal"):
         from . import series
         ks = range(1, n + 1) if k is None else [k]
-        return sum(series.sep_totals_by_length(j, n, literal=method == "literal")[n] for j in ks)
+        totals = _route(series, method == "literal").sep_totals_by_length
+        return sum(totals(j, n)[n] for j in ks)
     # method "egf"; argparse admits no other
     if k is not None:
         raise ValueError("method 'egf' computes the all-partitions total; drop --k")
@@ -195,7 +207,7 @@ def _cmd_pfd(args, out: TextIO) -> int:
     if args.oracle:
         table = formulas.pfd_oracle(args.k)
     else:
-        table = formulas.pfd_coeffs(args.k, literal=args.literal)
+        table = _route(formulas, args.literal).pfd_coeffs(args.k)
     entries = [(m, *table.row(m)) for m in range(1, args.k + 1)]
     result = [{"m": m, "a": [am.numerator, am.denominator], "b": [bm.numerator, bm.denominator]}
               for m, am, bm in entries]
@@ -209,7 +221,7 @@ def _cmd_pfd(args, out: TextIO) -> int:
 
 def _cmd_series(args, out: TextIO) -> int:
     from . import series
-    xs = series.distribution_series(args.k, args.a, args.order, literal=args.literal)
+    xs = _route(series, args.literal).distribution_series(args.k, args.a, args.order)
     result = [[n, list(c.to_dict().items())] for n, c in enumerate(xs.coeffs)]
     rows = ([n, s, count] for n, terms in result for s, count in terms)
     _render(args, out, result, ["n", "s", "count"], rows, [series.format_series(xs)])
@@ -228,7 +240,7 @@ def _cmd_asym(args, out: TextIO) -> int:
     if not ns:
         raise ValueError("empty --n-list")
     from . import asymptotics
-    reports = asymptotics.sweep(ns, literal=args.literal)
+    reports = _route(asymptotics, args.literal).sweep(ns)
     result = [rep._asdict() for rep in reports]
     rows = [asymptotics.table_row(rep) for rep in reports]
     line = "{:>6} {:>16} {:>16} {:>16}".format

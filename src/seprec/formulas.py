@@ -212,7 +212,7 @@ def pfd_value(coeffs: PfdCoefficients, y: Fraction) -> Fraction:
     return Fraction(num, den * scale)
 
 
-def pfd_coeffs(k: int, literal: bool = False) -> PfdCoefficients:
+def pfd_coeffs(k: int) -> PfdCoefficients:
     """Closed-form partial fraction coefficients for block count ``k``:
 
         a_{k,m} = (k-m) m (m+1) / (2 D)
@@ -221,10 +221,6 @@ def pfd_coeffs(k: int, literal: bool = False) -> PfdCoefficients:
 
     with D = (-1)^(k-m) (m-1)! (k-m)!, one Fraction per coefficient.
 
-    ``literal=True`` flips the cubic term to +k^3/12, a variant that fails the
-    residue oracle for every k and is kept only for comparison (see the README
-    section on formula variants).
-
     >>> pfd_coeffs(2).a
     (Fraction(-1, 1), Fraction(0, 1))
     >>> pfd_coeffs(2).b
@@ -232,7 +228,7 @@ def pfd_coeffs(k: int, literal: bool = False) -> PfdCoefficients:
     """
     if not 1 <= k <= MAX_PFD_K:
         raise ValueError(f"need 1 <= k <= {MAX_PFD_K}, got {k}")
-    k_terms = (k**3 if literal else -(k**3)) + 12 * _record_offset_total(k)
+    k_terms = -(k**3) + 12 * _record_offset_total(k)
     a_row, b_row = [], []
     for m in range(1, k + 1):
         denom = (-1) ** (k - m) * factorial(m - 1) * factorial(k - m)

@@ -156,16 +156,18 @@ def word_count_factor(i: int, order: int) -> XSeries:
     return _expand(order, 0, 0, [_times_count(i)])
 
 
-def _factors(k: int, a: int, literal: bool) -> list[tuple[int, bool]]:
+# The factor list of a distribution series for (k, a), as pairs (j, letters)
+Factors = Callable[[int, int], list[tuple[int, bool]]]
+
+
+def _factors(k: int, a: int) -> list[tuple[int, bool]]:
     """The factors 1/(1 - x*L) of the distribution series of (k, a), in the
     order they are applied, as pairs (j, letters): L is q + ... + q^j when
     ``letters`` holds, and the count j otherwise."""
-    if literal:
-        return [f for j in range(1, a) for f in [(j, True), *[(a, False)] * (k - a + 1)]]
     return [*((i, False) for i in range(a, k + 1)), *((j, True) for j in range(1, a))]
 
 
-def distribution_series(k: int, a: int, order: int, literal: bool = False) -> XSeries:
+def distribution_series(k: int, a: int, order: int) -> XSeries:
     """Series whose x^n q^s coefficient counts the partitions of [n] with
     exactly ``k`` blocks whose sum of elements preceding record ``a`` is s.
 
@@ -174,15 +176,16 @@ def distribution_series(k: int, a: int, order: int, literal: bool = False) -> XS
     records 1..a-1 add the fixed offset a(a-1)/2 and each free segment over
     [j] (j < a) is weighted by its letter sum.  Letters from the first ``a``
     on only contribute length, one count factor per alphabet [i], i = a..k.
-
-    With ``literal=True`` the count factors are instead attached inside the
-    weighted product, once per j with alphabet size frozen at ``a``.  That
-    variant fails the brute-force distribution check and is kept only for
-    comparison; see the README section on formula variants.
     """
+    return _distribution(k, a, order, _factors)
+
+
+def _distribution(k: int, a: int, order: int, factors: Factors) -> XSeries:
+    """The series x^k q^(a(a-1)/2) / prod (1 - x*L) over the factor list
+    ``factors(k, a)``, in the budget of ``distribution_series``."""
     if not 1 <= a <= k <= order <= MAX_ORDER:
         raise ValueError(f"need 1 <= a <= k <= order <= {MAX_ORDER}, got a={a}, k={k}, order={order}")
-    steps = [(_times_letters if letters else _times_count)(j) for j, letters in _factors(k, a, literal)]
+    steps = [(_times_letters if letters else _times_count)(j) for j, letters in factors(k, a)]
     return _expand(order, k, a * (a - 1) // 2, steps)
 
 
@@ -190,7 +193,7 @@ def distribution_series(k: int, a: int, order: int, literal: bool = False) -> XS
 MAX_TOTALS_ORDER = 30
 
 
-def sep_totals_by_length(k: int, order: int, literal: bool = False) -> list[int]:
+def sep_totals_by_length(k: int, order: int) -> list[int]:
     """Totals of the sep statistic over partitions of [n] with exactly ``k``
     blocks, for n = 0..order, read off the q-derivative at q = 1 of the
     distribution series summed over all records a.
@@ -203,13 +206,20 @@ def sep_totals_by_length(k: int, order: int, literal: bool = False) -> list[int]
     >>> sep_totals_by_length(2, 4)
     [0, 0, 1, 4, 11]
     """
+    return _totals(k, order, _factors)
+
+
+def _totals(k: int, order: int, factors: Factors) -> list[int]:
+    """The q-derivatives at q = 1 of the series of ``_distribution`` over
+    ``factors``, summed over a = 1..k, in the budget of
+    ``sep_totals_by_length``."""
     if not 1 <= k <= order <= MAX_TOTALS_ORDER:
         raise ValueError(f"need 1 <= k <= order <= {MAX_TOTALS_ORDER}, got k={k}, order={order}")
     totals = [0] * (order + 1)
     for a in range(1, k + 1):
         values, derivs = [0] * (order + 1), [0] * (order + 1)
         values[k], derivs[k] = 1, a * (a - 1) // 2
-        for j, letters in _factors(k, a, literal):
+        for j, letters in factors(k, a):
             w = j * (j + 1) // 2 if letters else 0
             for m in range(k + 1, order + 1):
                 values[m], derivs[m] = (values[m] + j * values[m - 1],

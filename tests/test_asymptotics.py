@@ -77,13 +77,6 @@ def test_correction_factor_report():
     assert rep.bare_abs_err < rep.abs_err
 
 
-def test_literal_estimate_does_not_converge():
-    # without the 1/3 the measured ratio heads to 1/3, not 1
-    rep = estimate_ratio(400, literal=True)
-    assert rep.abs_err > 0.5
-    assert rep.ratio == pytest.approx(estimate_ratio(400).ratio / 3, rel=1e-12)
-
-
 def test_bell_shift_error_decreases():
     assert bell_shift_error(400, 1) < bell_shift_error(100, 1)
     assert bell_shift_error(400, 2) < bell_shift_error(100, 2)

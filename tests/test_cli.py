@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from seprec import asymptotics, cli, counting, formulas, oracle, series, setpart, stats, verify
+from seprec import asymptotics, cli, counting, formulas, oracle, series, setpart, stats, variants, verify
 
 
 def run_cli(capsys, *argv):
@@ -204,7 +204,12 @@ HEAVY = ("seprec.formulas", "seprec.series", "seprec.asymptotics", "fractions", 
     (("enumerate", "--n", "4"), HEAVY),
     (("enumerate", "--n", "12", "--k", "11"), HEAVY),
     (("total", "--n", "10"), ("seprec.series", "seprec.asymptotics")),
-], ids=["stat", "stat-all", "enumerate", "enumerate-k", "total"])
+    # the refuted variants load only for a literal command
+    (("pfd", "--k", "3"), ("seprec.variants", "seprec.series", "seprec.asymptotics")),
+    (("series", "--k", "3", "--a", "2", "--order", "6"), ("seprec.variants",)),
+    (("asym", "--n-list", "50"), ("seprec.variants",)),
+    (("total", "--n", "10", "--method", "series"), ("seprec.variants",)),
+], ids=["stat", "stat-all", "enumerate", "enumerate-k", "total", "pfd", "series", "asym", "total-series"])
 def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
     assert _loaded_by_a_fresh_cli(unloaded, *argv) == "[]"
 
@@ -536,6 +541,13 @@ LITERAL_PINS = {
         "ee80bbd939a9f36554cd89717af8d8a05069760eba4dc0e2861e7fa36a44eb84",
     ("total", "--n", "14", "--method", "literal"):
         "da552bba47ab657a348e08cd5ec99aee60bf8d024c7ad83e9fd47d2cb51a334b",
+    ("pfd", "--k", "20", "--literal", "--format", "json"):
+        "78a7a588913afb5e74beb97fc0cd704fedc1e9618efd44037316f73097d0d324",
+    # json prints each float in full, so a last-bit change of a ratio shows
+    ("asym", "--n-list", "2,4,5,50,400,1000", "--literal", "--format", "json"):
+        "3d481f8547c75d6685870ce40a1f4abaa88635e4da578a419709d6f4684c0647",
+    ("series", "--k", "6", "--a", "4", "--order", "15", "--literal", "--format", "csv"):
+        "50eb6cfdf4f02e560caa8cc228fce888a9eae0059b3cdfa395f71391d6d59463",
 }
 
 
@@ -656,9 +668,9 @@ def test_asym_csv_sweeps_once(capsys, monkeypatch):
     seen = []
     estimate = asymptotics.estimate_ratio
 
-    def counted(n, literal=False):
+    def counted(n):
         seen.append(n)
-        return estimate(n, literal=literal)
+        return estimate(n)
 
     monkeypatch.setattr(asymptotics, "estimate_ratio", counted)
     code, out, _ = run_cli(capsys, "asym", "--n-list", "50,100", "--format", "csv")
@@ -763,9 +775,9 @@ FAULTS = [
     ("stats_dual", stats, "records", lambda f: lambda w: f(w)[:-1] or f(w)),
     ("totals", formulas, "total_sep_nk", lambda f: lambda n, k: -f(n, k)),
     ("bell_total", formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),
-    ("distribution", series, "distribution_series",
-     lambda f: lambda k, a, order, literal=False: f(k, a, order, literal=not literal)),
-    ("pfd", formulas, "pfd_coeffs", lambda f: lambda k, literal=False: f(k, literal=not literal)),
+    # the refuted variants in place of the validated routes
+    ("distribution", series, "distribution_series", lambda f: variants.distribution_series),
+    ("pfd", formulas, "pfd_coeffs", lambda f: variants.pfd_coeffs),
     ("egf", formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),
     ("integrality", counting, "bell_numbers", lambda f: lambda top: [b + 1 for b in f(top)]),
     ("rowsum", formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from seprec import asymptotics, formulas, series, setpart, verify
+from seprec import asymptotics, formulas, series, setpart, variants, verify
 from seprec.counting import MAX_STIRLING_N, bell, bell_numbers
 from seprec.formulas import (
     MAX_BELL_TOTAL_N,
@@ -243,11 +243,6 @@ def test_pfd_closed_form_matches_sympy_apart():
         assert PfdCoefficients(k=k, a=tuple(a), b=tuple(b)) == pfd_coeffs(k)
 
 
-def test_pfd_literal_variant_fails_oracle():
-    for k in range(1, 7):
-        assert pfd_coeffs(k, literal=True) != pfd_oracle(k)
-
-
 def test_pfd_reconstruction_at_probes():
     for k in range(1, 16):
         table = pfd_coeffs(k)
@@ -286,7 +281,7 @@ def _decomposition_by_fractions(table, y):
 def test_pfd_probes_equal_fraction_sums_at_random_points():
     rng = random.Random(25)
     for k in range(1, 16):
-        tables = (pfd_coeffs(k), pfd_coeffs(k, literal=True))
+        tables = (pfd_coeffs(k), variants.pfd_coeffs(k))
         # y = j/d, j in -7k..21k, d in 1-7: negative, between poles and past them
         probes = [Fraction(rng.randint(-7 * k, 21 * k), rng.randint(1, 7)) for _ in range(30)]
         probes += [Fraction(2 * m + 1, 2) for m in range(1, k)]  # midway between poles

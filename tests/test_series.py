@@ -1,5 +1,6 @@
 import pytest
 
+from seprec import series, variants
 from seprec.counting import stirling2
 from seprec.formulas import rational_series_totals
 from seprec.oracle import brute_distribution_a, brute_total_nk
@@ -132,29 +133,19 @@ def test_sep_totals_by_length_matches_enumeration():
 
 @pytest.mark.parametrize("literal", [False, True])
 def test_sep_totals_by_length_is_the_q_derivative_of_the_distribution_series(literal):
-    # the route through (p(1), p'(1)) pairs against the full q-polynomials
+    # the route through (p(1), p'(1)) pairs against the full q-polynomials,
+    # for the validated factors and for the refuted nested ones
+    route = variants if literal else series
     for order in range(1, 13):
         for k in range(1, order + 1):
-            by_a = [distribution_series(k, a, order, literal=literal) for a in range(1, k + 1)]
+            by_a = [route.distribution_series(k, a, order) for a in range(1, k + 1)]
             want = [sum(xs.coefficient(n).deriv_at_one() for xs in by_a) for n in range(order + 1)]
-            assert sep_totals_by_length(k, order, literal=literal) == want, (k, order)
+            assert route.sep_totals_by_length(k, order) == want, (k, order)
 
 
 def test_sep_totals_by_length_matches_rational_series_to_order_30():
     for k in range(1, 31):
         assert sep_totals_by_length(k, 30) == rational_series_totals(k, 30), k
-
-
-def test_literal_variant_differs_from_validated_form():
-    # the rejected reading freezes the count-factor alphabet at a and repeats
-    # it inside the weighted product; for k=3, a=2 it disagrees at n=4
-    validated = distribution_series(3, 2, 4)
-    assert validated.coefficient(4).to_dict() == brute_distribution_a(4, 3, 2) == {1: 5, 2: 1}
-    literal = distribution_series(3, 2, 4, literal=True)
-    assert literal.coefficient(4).to_dict() == {1: 4, 2: 1}
-    # and for a = 1 it degenerates to the bare monomial x^k
-    bare = distribution_series(3, 1, 5, literal=True)
-    assert [c.to_dict() for c in bare.coeffs] == [{}, {}, {}, {0: 1}, {}, {}]
 
 
 def test_format_series_lines():
