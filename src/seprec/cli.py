@@ -16,8 +16,11 @@ hold commas) as they are in plain, as csv rows, which quote only the comma
 words, or inside the same json envelope, for which ``lines`` ends each word
 with json's separator instead of a newline.
 
-Heavy modules are imported in the branch that runs them, so a CLI start
-loads and compiles only what its command runs.  A ``--literal`` command (or
+No ``seprec`` module is imported at module level: each command imports
+the modules it runs, so a CLI start loads and compiles only those.  The
+verification suites and the word-only statistics, which ``perfbench`` wraps
+in place, are the dicts ``_SUITES`` and ``_PLAIN_STATS``, served by a module
+``__getattr__`` (PEP 562) to the callers outside.  A ``--literal`` command (or
 ``total --method literal``) calls the same function of ``variants``, the
 module of the refuted formula variants, in place of the validated one.
 
@@ -31,10 +34,9 @@ import argparse
 import io
 import os
 import sys
+from functools import cache
 from math import factorial
 from typing import TextIO
-
-from . import counting, setpart, stats, verify
 
 LITERAL_WARNING = (
     "warning: --literal uses the non-validated textbook variant of the formula; "
@@ -97,6 +99,7 @@ def _name_list(text: str, what: str, known) -> list[str]:
 # ---------------------------------------------------------------- enumerate
 
 def _cmd_enumerate(args, out: TextIO) -> int:
+    from . import setpart
     n, k = args.n, args.k
     # lines checks n and k when called, before json counts the words
     chunks = setpart.lines(n, k)
@@ -112,6 +115,8 @@ def _cmd_enumerate(args, out: TextIO) -> int:
             out.write(f'"{chunk[:-1]}"\n' if "," in chunk else chunk)
     else:
         import json
+
+        from . import counting
         count = counting.bell(n) if k is None else counting.stirling2(n, k)
         frame = json.dumps(_envelope(args, {"count": count, "words": ["@", "@"]}), sort_keys=True, indent=2)
         # json's own text around and between two placeholder words
@@ -132,24 +137,27 @@ def _cmd_enumerate(args, out: TextIO) -> int:
 
 _STATS = ("sep", "sep_a", "srec", "swrec", "records")
 
-# The statistics of the word alone; perfbench/layers.py counts the calls of
-# stats.sep by wrapping it in this dict.
-_PLAIN_STATS = {
-    "sep": stats.sep,
-    "srec": stats.srec,
-    "swrec": stats.swrec,
-}
+
+@cache
+def _plain_stats() -> dict:
+    """The statistics of the word alone, one dict per process:
+    ``_PLAIN_STATS``, in which perfbench/layers.py counts the calls of
+    stats.sep by wrapping it."""
+    from . import stats
+    return {"sep": stats.sep, "srec": stats.srec, "swrec": stats.swrec}
 
 
 def _cmd_stat(args, out: TextIO) -> int:
+    from . import setpart, stats
+    plain = _plain_stats()
     word = setpart.parse_word(args.word)
     names = _name_list(args.stats, "statistics", _STATS)
     args.stats = ",".join(names)
     results: dict[str, object] = {}
     lines = []
     for name in names:
-        if name in _PLAIN_STATS:
-            value = text = _PLAIN_STATS[name](word)
+        if name in plain:
+            value = text = plain[name](word)
         elif name == "records":
             value = [[v, p] for v, p in stats.records(word)]
             text = ",".join(f"{v}:{p}" for v, p in value)
@@ -251,18 +259,22 @@ def _cmd_asym(args, out: TextIO) -> int:
 
 # ------------------------------------------------------------------- verify
 
-# perfbench/layers.py wraps the entries of this dict in place, so
-# _cmd_verify looks each suite up here at call time.
-_SUITES = verify.SUITES
+# The names of verify.SUITES, in its order, for the options of verify, so
+# that a start that runs another command does not import the suites.
+_SUITE_NAMES = ("counts", "roundtrip", "stats_dual", "totals", "bell_total",
+                "distribution", "pfd", "egf", "integrality", "rowsum")
 
 
 def _cmd_verify(args, out: TextIO) -> int:
-    names = _name_list(args.suites, "suites", _SUITES)
+    # perfbench/layers.py wraps the entries of this dict, cli._SUITES, in
+    # place, so each suite is looked up here at call time.
+    from .verify import SUITES
+    names = _name_list(args.suites, "suites", SUITES)
     args.suites = ",".join(names)
     results = []
     for name in names:
         # each suite refuses a --max-n out of its range before any work
-        ok, detail = _SUITES[name](args.max_n)
+        ok, detail = SUITES[name](args.max_n)
         results.append({"name": name, "ok": ok, "detail": detail})
     failed = [r for r in results if not r["ok"]]
     lines = [f"{'PASS' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results]
@@ -303,8 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", _cmd_verify, "run the verification suites", formats=("plain", "json"))
     p.add_argument("--max-n", type=int, default=10, dest="max_n")
-    p.add_argument("--suites", default=",".join(_SUITES),
-                   help=f"comma list from: {','.join(_SUITES)} (default all)")
+    p.add_argument("--suites", default=",".join(_SUITE_NAMES),
+                   help=f"comma list from: {','.join(_SUITE_NAMES)} (default all)")
 
     p = command("pfd", _cmd_pfd, "partial fraction coefficient table")
     p.add_argument("--k", type=int, required=True)
@@ -325,6 +337,17 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="non-validated estimate without the 1/3")
 
     return parser
+
+
+def __getattr__(name: str):
+    """``_SUITES`` (verify.SUITES) and ``_PLAIN_STATS``, the dicts the
+    commands read, imported on first access."""
+    if name == "_SUITES":
+        from .verify import SUITES
+        return SUITES
+    if name == "_PLAIN_STATS":
+        return _plain_stats()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

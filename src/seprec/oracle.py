@@ -66,7 +66,8 @@ def brute_totals_by_k(n: int, workers: int = 1) -> dict[int, int]:
     if not 1 <= n <= MAX_TOTAL_N:
         raise ValueError(f"need 1 <= n <= {MAX_TOTAL_N}, got n={n}")
     if workers > 1 and n > 2:
-        from concurrent.futures import ProcessPoolExecutor  # imported here: it costs every CLI start
+        # imported here: it would cost every start that imports the oracle
+        from concurrent.futures import ProcessPoolExecutor
 
         prefixes = list(setpart.iterate_all(min(4, n - 1)))  # B_4 = 15 at full depth
         with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as pool:

@@ -30,10 +30,11 @@ words of each n up to max_n or their own cap: ``MAX_WORD_CHECK_N`` for
 ``max_n``.  ``totals`` and ``bell_total`` read the oracle's census, which
 runs once per n in a process, so the second of them walks no word again;
 ``distribution`` reads one joint walk of the words of [n] per n.  ``pfd``
-evaluates its probes in integers.  Every CLI start imports this module,
-so heavy modules are imported in the suite that runs them.  Dependencies
-are called through their modules, so patching a module attribute reaches
-the suites.
+evaluates its probes in integers.  Of the CLI commands only ``seprec
+verify`` imports this module.  ``formulas``, ``series`` and ``fractions``
+are imported in the suites that use them, so ``--suites
+counts,roundtrip,stats_dual`` loads none of them.  Dependencies are called
+through their modules, so patching a module attribute reaches the suites.
 """
 from __future__ import annotations
 

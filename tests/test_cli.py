@@ -178,40 +178,59 @@ def test_total_by_k_at_the_stirling_budget_stays_small(k):
         proc.wait()
 
 
-def _loaded_by_a_fresh_cli(watched, *argv):
-    """The names of ``watched`` in sys.modules after a fresh process imports
-    seprec.cli and, given an argv, runs that command."""
+def _loaded_by_a_fresh_cli(*argv) -> set[str]:
+    """The names in sys.modules after a fresh process imports seprec.cli
+    and, given an argv, runs that command (``--help`` included)."""
     script = ("import sys\nfrom seprec import cli\n"
-              "if sys.argv[1:]:\n    assert cli.main(sys.argv[1:]) == 0\n"
-              f"print(sorted({set(watched)!r} & set(sys.modules)))\n")
+              "try:\n    code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+              "except SystemExit as exc:\n    code = exc.code\n"
+              "sys.stdout.flush()\nprint(code, *sorted(sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
+    code, *names = proc.stdout.splitlines()[-1].split()
+    assert code == "0", proc.stderr
+    return set(names)
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    assert _loaded_by_a_fresh_cli({"multiprocessing", "concurrent.futures.process", "dataclasses", "inspect"}) == "[]"
+    assert not {"multiprocessing", "concurrent.futures.process", "dataclasses", "inspect"} & _loaded_by_a_fresh_cli()
 
 
-# A CLI start compiles every module it imports; these commands need none of
-# the modules below.
-HEAVY = ("seprec.formulas", "seprec.series", "seprec.asymptotics", "fractions", "json", "csv")
+# A CLI start compiles every module it imports, so each command loads
+# exactly the seprec modules it runs, and fractions, json and csv only where
+# it builds a Fraction or writes through json or the csv module.
+_WATCHED = ("fractions", "json", "csv")
+_FORMULAS = {"seprec.formulas", "seprec.counting"}
+_WORDS = {"seprec.setpart", "seprec.stats"}
 
 
-@pytest.mark.parametrize("argv, unloaded", [
-    (("stat", "--word", "121132"), HEAVY),
-    (("stat", "--word", "121132", "--stats", "sep,sep_a,srec,swrec,records", "--a", "2"), HEAVY),
-    (("enumerate", "--n", "4"), HEAVY),
-    (("enumerate", "--n", "12", "--k", "11"), HEAVY),
-    (("total", "--n", "10"), ("seprec.series", "seprec.asymptotics")),
-    # the refuted variants load only for a literal command
-    (("pfd", "--k", "3"), ("seprec.variants", "seprec.series", "seprec.asymptotics")),
-    (("series", "--k", "3", "--a", "2", "--order", "6"), ("seprec.variants",)),
-    (("asym", "--n-list", "50"), ("seprec.variants",)),
-    (("total", "--n", "10", "--method", "series"), ("seprec.variants",)),
-], ids=["stat", "stat-all", "enumerate", "enumerate-k", "total", "pfd", "series", "asym", "total-series"])
-def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
-    assert _loaded_by_a_fresh_cli(unloaded, *argv) == "[]"
+@pytest.mark.parametrize("argv, loaded", [
+    # the import alone binds no seprec module
+    ((), set()),
+    (("stat", "--word", "121132"), _WORDS),
+    (("stat", "--word", "121132", "--stats", "sep,sep_a,srec,swrec,records", "--a", "2"), _WORDS),
+    (("enumerate", "--n", "4"), {"seprec.setpart"}),
+    (("enumerate", "--n", "12", "--k", "11"), {"seprec.setpart"}),
+    (("enumerate", "--n", "5", "--k", "3", "--format", "csv"), {"seprec.setpart"}),
+    (("enumerate", "--n", "5", "--format", "json"), {"seprec.setpart", "seprec.counting", "json"}),
+    (("total", "--n", "10"), _FORMULAS),
+    (("total", "--n", "6", "--method", "brute"), {"seprec.oracle", *_WORDS}),
+    (("total", "--n", "10", "--method", "series"), {"seprec.series"}),
+    (("total", "--n", "30", "--method", "egf"), {*_FORMULAS, "fractions"}),
+    (("pfd", "--k", "3"), {*_FORMULAS, "fractions"}),
+    (("pfd", "--k", "3", "--oracle"), {*_FORMULAS, "fractions"}),
+    (("series", "--k", "3", "--a", "2", "--order", "6"), {"seprec.series"}),
+    (("asym", "--n-list", "50"), {"seprec.asymptotics", *_FORMULAS}),
+    (("verify", "--max-n", "3"), {"seprec.verify", "seprec.oracle", "seprec.series", *_WORDS, *_FORMULAS,
+                                  "fractions"}),
+    # the help lists the suites without importing them
+    (("verify", "--help"), set()),
+], ids=["import", "stat", "stat-all", "enumerate", "enumerate-k", "enumerate-csv", "enumerate-json", "total",
+        "total-brute", "total-series", "total-egf", "pfd", "pfd-oracle", "series", "asym", "verify",
+        "verify-help"])
+def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
+    got = {name for name in _loaded_by_a_fresh_cli(*argv) if name.split(".")[0] == "seprec" or name in _WATCHED}
+    assert got == {"seprec", "seprec.cli", *loaded}
 
 
 def test_stat_sep(capsys):
@@ -761,6 +780,7 @@ def test_fixed_range_suites_refuse_a_bad_max_n_before_any_work(monkeypatch, suit
 
 def test_verify_runs_the_suites_of_the_verify_module():
     assert cli._SUITES is verify.SUITES
+    assert cli._SUITE_NAMES == tuple(verify.SUITES)
     assert list(cli._SUITES) == ["counts", "roundtrip", "stats_dual", "totals", "bell_total",
                                  "distribution", "pfd", "egf", "integrality", "rowsum"]
 

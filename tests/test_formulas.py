@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -352,6 +352,20 @@ def test_bell_shift_spot_values():
     assert formulas._times_bell_egf(list(range(2)), b)[1] == 1 * bell(1) == 1
     # n! [x^n] of e^(3x) E at n = 1 is B_4 - 3 B_3 + 2 B_2
     assert formulas._times_bell_egf([3**m for m in range(2)], b)[1] == bell(4) - 3 * bell(3) + 2 * bell(2) == 4
+
+
+def test_times_bell_egf_equals_the_direct_binomial_convolution():
+    # the Pascal rows against math.comb at every order up to 60, for the
+    # weights of egf_coeffs and for signed random weights
+    b = bell_numbers(60)
+    rng = random.Random(38)
+    for order in range(61):
+        ns = range(order + 1)
+        egf = [4 * 3**m - 3 * m * 2**m + 9 * 2**m - 12 * m - 12 - (m == 0) for m in ns]
+        signed = [rng.randint(-10**6, 10**6) for _ in ns]
+        for weights in (egf, signed):
+            want = [sum(comb(n, j) * b[j] * weights[n - j] for j in range(n + 1)) for n in ns]
+            assert formulas._times_bell_egf(weights, b[:order + 1]) == want
 
 
 def test_integrality_of_bell_combination():
