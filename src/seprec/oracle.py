@@ -4,8 +4,8 @@ Every closed form and series identity in this package is tested against the
 totals and distributions computed here.  Enumeration is capped (n <= 12 for
 totals, n <= 9 for distributions); the caps guard against runaway runtime,
 not correctness.  On a 2-vCPU machine with Python 3.11 the census takes
-0.02, 0.1 and 0.4-0.6 s at n = 10, 11, 12, and the ``sep_a`` table 0.01 s
-at n = 9; past its cap it would take 0.04-0.08, 0.3-0.5 and 2.0-2.9 s.
+0.01, 0.03-0.07 and 0.2-0.4 s at n = 10, 11, 12, and the ``sep_a`` table
+0.01 s at n = 9; past its cap it would take 0.03, 0.15-0.17 and 0.9-1.0 s.
 
 Totals over all partitions of [n] reach ~1.9e8 already at n = 12, hence all
 accumulators are plain Python ints.
@@ -104,24 +104,39 @@ def _record_walk(prefix: tuple[int, ...], n: int, leaf) -> None:
 
     A node carries (length, letter sum, seps, sep): a letter up to the max
     keeps the records, and the record max + 1 appends the letter sum before
-    it.  At the last letter the k words that repeat one of 1..k share one
-    leaf, and the word that ends in record k + 1 gets its own.
+    it.  The walk stops two letters short of n.  With largest letter b and
+    letter sum L there, the b * b words whose last two letters both repeat
+    one of 1..b share one leaf; each word that repeats v and then opens
+    record b + 1 gets its own, with L + v before that record; the b + 1
+    words that open record b + 1 and then repeat a letter share one leaf;
+    and the word ending in records b + 1, b + 2 gets its own.
     """
+    last = n - 2
+
     def walk(i: int, letters: int, seps: tuple[int, ...], sep: int) -> None:
         biggest = len(seps)
-        if i == n - 1:
-            leaf(seps, sep, biggest)  # the words whose last letter repeats one
-            leaf(seps + (letters,), sep + letters, 1)  # the word ending in a record
+        if i == last:
+            leaf(seps, sep, biggest * biggest)  # both last letters repeat
+            for before in range(letters + 1, letters + biggest + 1):
+                leaf(seps + (before,), sep + before, 1)  # a repeat, then a record
+            opened = seps + (letters,)
+            leaf(opened, sep + letters, biggest + 1)  # a record, then a repeat
+            after = letters + biggest + 1
+            leaf(opened + (after,), sep + letters + after, 1)  # two records
             return
         for v in range(1, biggest + 1):
             walk(i + 1, letters + v, seps, sep)
         walk(i + 1, letters + biggest + 1, seps + (letters,), sep + letters)
 
     seps = tuple(stats.sep_a(prefix, a) for a in range(1, max(prefix) + 1))
-    if len(prefix) == n:
-        leaf(seps, sum(seps), 1)
+    i, letters, sep = len(prefix), sum(prefix), sum(seps)
+    if i == n:
+        leaf(seps, sep, 1)
+    elif i == n - 1:
+        leaf(seps, sep, len(seps))  # the words whose last letter repeats one
+        leaf(seps + (letters,), sep + letters, 1)  # the word ending in a record
     else:
-        walk(len(prefix), sum(prefix), seps, sum(seps))
+        walk(i, letters, seps, sep)
 
 
 def brute_distribution_a(n: int, k: int, a: int) -> dict[int, int]:

@@ -68,22 +68,32 @@ def validate(word: Iterable[int]) -> Word:
     return w
 
 
-def to_blocks(word: Sequence[int]) -> list[list[int]]:
+def to_blocks(word: Iterable[int]) -> list[list[int]]:
     """Blocks of the partition encoded by ``word``, ordered by increasing minima.
+
+    A word that is not a restricted growth string raises the error of
+    :func:`validate`, from the one pass that builds the blocks.
 
     >>> to_blocks((1, 2, 2, 3, 1))
     [[1, 5], [2, 3], [4]]
     >>> to_blocks((1, 2, 1, 1, 3, 2))
     [[1, 3, 4], [2, 6], [5]]
     """
+    w = tuple(word)
+    if not w:
+        validate(w)  # raises its error for the empty word
     blocks: list[list[int]] = []
-    for i, v in enumerate(validate(word), start=1):
+    biggest = 0
+    for i, v in enumerate(w, start=1):
         # a restricted growth string opens block v at the first letter past
-        # the blocks so far
-        if v > len(blocks):
-            blocks.append([i])
-        else:
+        # the blocks so far; any other letter is one validate rejects
+        if type(v) is int and 0 < v <= biggest:
             blocks[v - 1].append(i)
+        elif type(v) is int and v == biggest + 1:
+            blocks.append([i])
+            biggest = v
+        else:
+            validate(w)  # raises its error for position i
     return blocks
 
 
@@ -101,7 +111,7 @@ def from_blocks(blocks: Sequence[Iterable[int]]) -> Word:
     groups = [sorted(b) for b in blocks]
     if not groups:
         raise ValueError("empty word is not a canonical form")
-    if any(not g for g in groups):
+    if not all(groups):
         raise ValueError("blocks must be nonempty")
     groups.sort(key=itemgetter(0))
     n = sum(map(len, groups))

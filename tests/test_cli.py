@@ -785,15 +785,30 @@ def test_verify_runs_the_suites_of_the_verify_module():
                                  "distribution", "pfd", "egf", "integrality", "rowsum"]
 
 
+def _last_into_block_one(to_blocks):
+    """``to_blocks`` with position n moved into block 1 and an emptied block
+    dropped, which changes every word that does not end in 1; a permutation
+    of the blocks would change no word, as ``from_blocks`` sorts them."""
+    def moved(word):
+        n = len(word)
+        blocks = [[i for i in block if i != n] for block in to_blocks(word)]
+        blocks[0].append(n)
+        return [block for block in blocks if block]
+    return moved
+
+
 # (suite, module, attribute, fault built from the original); each fault must
 # make its suite, and with it the exit code, fail
 FAULTS = [
     ("counts", counting, "stirling2", lambda f: lambda n, k: f(n, k) + 1),
     ("roundtrip", setpart, "from_blocks", lambda f: lambda blocks: tuple(sorted(f(blocks)))),
+    ("roundtrip", setpart, "to_blocks", _last_into_block_one),
     ("stats_dual", stats, "sep_by_positions", lambda f: lambda w: f(w) + 1),
     # the last record of a word with more than one dropped
     ("stats_dual", stats, "records", lambda f: lambda w: f(w)[:-1] or f(w)),
     ("totals", formulas, "total_sep_nk", lambda f: lambda n, k: -f(n, k)),
+    # one more in the census cell k = n
+    ("totals", oracle, "brute_totals_by_k", lambda f: lambda n: {k: t + (k == n) for k, t in f(n).items()}),
     ("bell_total", formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),
     # the refuted variants in place of the validated routes
     ("distribution", series, "distribution_series", lambda f: variants.distribution_series),

@@ -102,6 +102,33 @@ def test_to_blocks_error_messages(word, message):
     assert str(info.value) == message
 
 
+def _raised(f, word):
+    """The type and message of what ``f(word)`` raises, or None."""
+    try:
+        f(word)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_to_blocks_raises_what_validate_raises():
+    words = [w for m in range(5) for w in itertools.product((-1, 0, 1, 2, 3, 5), repeat=m)]
+    for word in [*words, (True,), (1, 2.0), (1, 0.5)]:
+        raised = _raised(validate, word)
+        assert _raised(to_blocks, word) == raised, word
+        if raised is None:
+            assert from_blocks(to_blocks(word)) == word
+    # the restricted growth strings with letters up to 3: all but 1234 of length <= 4
+    assert sum(_raised(validate, w) is None for w in words) == 1 + 2 + 5 + 14
+
+
+def test_to_blocks_takes_any_iterable():
+    assert to_blocks(v for v in (1, 2, 1)) == [[1, 3], [2]]
+    assert to_blocks([1, 2, 1]) == [[1, 3], [2]]
+    with pytest.raises(ValueError, match="position 2: 3 exceeds running maximum 1 [+] 1"):
+        to_blocks(v for v in (1, 3))
+
+
 def test_roundtrip_exhaustive():
     for n in range(1, 8):
         for w in iterate_all(n):

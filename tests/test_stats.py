@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from seprec.setpart import iterate_all
+from seprec.setpart import iterate_all, to_blocks
 from seprec.stats import records, sep, sep_a, sep_by_positions, srec, swrec
 
 words = st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=14).map(tuple)
@@ -89,6 +89,17 @@ def test_dual_formula_error_messages(word, message):
     with pytest.raises(ValueError) as info:
         sep_by_positions(word)
     assert str(info.value) == message
+
+
+def test_a_fractional_letter_is_no_record():
+    # a first letter in (0, 1) passes the record test v > 0, so only the
+    # v < 1 check, made on every letter, refuses it
+    with pytest.raises(ValueError):
+        records((0.5,))
+    with pytest.raises(ValueError):
+        sep_by_positions((1, 0.5))
+    with pytest.raises(ValueError):
+        to_blocks((1, 0.5))
 
 
 def test_dual_formula_exhaustive_on_canonical_forms():
