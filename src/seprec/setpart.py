@@ -15,7 +15,9 @@ TAOCP 4A, 7.2.1.5).  So every stream walks the prefixes before them, each
 with its largest letter, which the walk tracks anyway, and walks those
 letters, the tails, apart.  Each stream keeps the tails after each largest
 letter up to 9, once per call, and walks them afresh past it; the tuple
-generators keep tuples, and make a word as one tuple addition.
+generators keep tuples, and make a word as one tuple addition of its prefix
+and tail, ``map(operator.add, repeat(prefix), tails)``, one C-level call per
+word.
 
 Text form: a word prints as a bare digit string when its largest letter is at
 most 9 (e.g. ``12231``) and as comma-separated integers otherwise.
@@ -27,8 +29,8 @@ asks for its separator), so the chunks come in the form they are written.
 """
 from __future__ import annotations
 
-from itertools import chain, groupby, starmap
-from operator import itemgetter
+from itertools import chain, groupby, repeat, starmap
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -204,10 +206,12 @@ def _words(word: list[int], i: int, biggest: int, low: int, high: int) -> Iterat
     def after(prefix: Word, b: int) -> Iterator[Word]:
         found = table.get(b)
         if found is None:
-            found = (tail for tail, _ in tails(b))
+            found = map(itemgetter(0), tails(b))
             if b <= _TABLE_MAX:
                 found = table[b] = list(found)
-        return map(prefix.__add__, found)
+        # operator.add makes each word in one C-level call, where the bound
+        # prefix.__add__ would go through a method wrapper per word
+        return map(add, repeat(prefix), found)
 
     return chain.from_iterable(starmap(after, prefixes))
 

@@ -10,6 +10,7 @@ import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, islice
 from math import factorial
 from pathlib import Path
 
@@ -801,6 +802,9 @@ def _last_into_block_one(to_blocks):
 # make its suite, and with it the exit code, fail
 FAULTS = [
     ("counts", counting, "stirling2", lambda f: lambda n, k: f(n, k) + 1),
+    ("counts", setpart, "iterate_all", lambda f: lambda n: iter(list(f(n))[:-1])),
+    # the first word once more at the end
+    ("counts", setpart, "iterate_with_k", lambda f: lambda n, k: chain(f(n, k), islice(f(n, k), 1))),
     ("roundtrip", setpart, "from_blocks", lambda f: lambda blocks: tuple(sorted(f(blocks)))),
     ("roundtrip", setpart, "to_blocks", _last_into_block_one),
     ("stats_dual", stats, "sep_by_positions", lambda f: lambda w: f(w) + 1),

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import itertools
+import json
 import re
 import subprocess
 import sys
@@ -100,3 +101,12 @@ def test_readme_budget_table_matches_the_constants():
         want = getattr(importlib.import_module(f"seprec.{module}"), name)
         value, = re.findall(r"\d[\d,]*", budget)
         assert int(value.replace(",", "")) == want, row
+
+
+def test_every_cited_benchmark_record_is_kept():
+    # a figure cited from BENCH_<n>.json keeps its record at the repo root
+    cited = {name for doc in ("README.md", "ROADMAP.md", "CHANGES.md")
+             for name in re.findall(r"BENCH_\d+\.json", (ROOT / doc).read_text())}
+    assert cited
+    for name in sorted(cited):
+        json.loads((ROOT / name).read_text())

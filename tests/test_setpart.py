@@ -323,6 +323,26 @@ def test_long_words_stream_past_the_recursion_limit():
     assert next(words) == prefix + (1,) * 499 + (2,)
 
 
+@pytest.mark.parametrize("make, past_nine", [
+    (lambda: iterate_all(7), False),
+    (lambda: iterate_with_k(7, 3), False),
+    (lambda: complete_prefix((1, 2), 7), False),
+    (lambda: (w for _, sub in split_by_prefix(7, 3) for w in sub), False),
+    # past letter 9 the tails are walked per prefix, not kept
+    (lambda: iterate_with_k(13, 11), True),
+    (lambda: complete_prefix(tuple(range(1, 11)), 13), True),
+    (lambda: split_by_prefix(12, 10)[-1][1], True),
+], ids=["iterate_all", "iterate_with_k", "complete_prefix", "split_by_prefix",
+        "iterate_with_k-past-9", "complete_prefix-past-9", "split_by_prefix-past-9"])
+def test_generators_yield_fresh_plain_tuples(make, past_nine):
+    # each word is its own object of exact type tuple, whether its tail was
+    # kept in a table or walked again
+    words = list(make())
+    assert all(type(w) is tuple for w in words)
+    assert len(set(map(id, words))) == len(words)
+    assert (max(map(max, words)) > 9) is past_nine
+
+
 def test_generators_refuse_words_past_the_length_budget():
     # refused at call time, before the word buffer is allocated
     with pytest.raises(ValueError, match="word-length budget"):
