@@ -7,8 +7,11 @@ dense coefficient lists, truncated at a fixed order in x.
 
 Every series built here is a monomial x^k q^c times factors 1/(1 - x L(q)),
 where L is either a constant letter count i or the letter polynomial
-q + q^2 + ... + q^j.  A factor has a single x^1 term, so dividing a series
-h = sum h_m x^m by (1 - x L) is the first-order recurrence
+q + q^2 + ... + q^j.  A factor list is one list of pairs (j, letters),
+``letters`` marking the polynomial, and both the expansion ``_expand`` and
+the q-derivative loop ``_totals`` read it.  A factor has a single x^1
+term, so dividing a series h = sum h_m x^m by (1 - x L) is the first-order
+recurrence
 
     g_0 = h_0,    g_m = h_m + L * g_{m-1},
 
@@ -100,34 +103,25 @@ def format_series(series: XSeries) -> str:
     return "\n".join(f"{n}: {format_qpoly(c)}" for n, c in enumerate(series.coeffs))
 
 
-Step = Callable[[list[int]], list[int]]
+def _expand(order: int, xpower: int, qpower: int, factors: Iterable[tuple[int, bool]]) -> XSeries:
+    """x^xpower q^qpower / prod (1 - x*L) over the pairs (j, letters),
+    truncated at x^order; every caller checks its budget.
 
-
-def _times_count(i: int) -> Step:
-    """p -> i * p, the step of the factor 1/(1 - i*x)."""
-    return lambda p: [i * c for c in p]
-
-
-def _times_letters(j: int) -> Step:
-    """p -> (q + ... + q^j) * p, the step of the factor 1/(1 - x*(q + ... + q^j)).
-
-    Coefficient d of the product is p[d-j] + ... + p[d-1], a difference of
-    prefix sums of p.
+    L is q + ... + q^j when ``letters`` holds, and the count j otherwise.
+    Coefficient d of (q + ... + q^j) * p is p[d-j] + ... + p[d-1], a
+    difference of prefix sums of p.
     """
-    def step(p: list[int]) -> list[int]:
-        prefix = list(accumulate(p + [0] * (j - 1), initial=0))
-        return [0, *prefix[1:j], *map(sub, prefix[j:], prefix)]
-    return step
-
-
-def _expand(order: int, xpower: int, qpower: int, steps: Iterable[Step]) -> XSeries:
-    """x^xpower q^qpower / prod (1 - x*L), one factor per step p -> L*p,
-    truncated at x^order; every caller checks its budget."""
     g = [[0] * qpower + [1]] + [[]] * (order - xpower)
-    for step in steps:
+    for j, letters in factors:
         for m in range(1, len(g)):
+            p = g[m - 1]
+            if letters:
+                prefix = list(accumulate(p + [0] * (j - 1), initial=0))
+                p = [0, *prefix[1:j], *map(sub, prefix[j:], prefix)]
+            else:
+                p = [j * c for c in p]
             # g_m = h_m + L*g_{m-1}: add the shorter list into the longer
-            short, longer = sorted((g[m], step(g[m - 1])), key=len)
+            short, longer = sorted((g[m], p), key=len)
             g[m] = [*map(add, longer, short), *longer[len(short):]]
     return XSeries(order, tuple([QPoly()] * xpower + [QPoly(c) for c in g]))
 
@@ -144,7 +138,7 @@ def word_sum_factor(j: int, order: int) -> XSeries:
     """
     if not 1 <= j <= MAX_ORDER or not 0 <= order <= MAX_ORDER:
         raise ValueError(f"need 1 <= j <= {MAX_ORDER} and 0 <= order <= {MAX_ORDER}, got j={j}, order={order}")
-    return _expand(order, 0, 0, [_times_letters(j)])
+    return _expand(order, 0, 0, [(j, True)])
 
 
 def word_count_factor(i: int, order: int) -> XSeries:
@@ -153,7 +147,7 @@ def word_count_factor(i: int, order: int) -> XSeries:
     """
     if not 1 <= i <= MAX_ORDER or not 0 <= order <= MAX_ORDER:
         raise ValueError(f"need 1 <= i <= {MAX_ORDER} and 0 <= order <= {MAX_ORDER}, got i={i}, order={order}")
-    return _expand(order, 0, 0, [_times_count(i)])
+    return _expand(order, 0, 0, [(i, False)])
 
 
 # The factor list of a distribution series for (k, a), as pairs (j, letters)
@@ -185,8 +179,7 @@ def _distribution(k: int, a: int, order: int, factors: Factors) -> XSeries:
     ``factors(k, a)``, in the budget of ``distribution_series``."""
     if not 1 <= a <= k <= order <= MAX_ORDER:
         raise ValueError(f"need 1 <= a <= k <= order <= {MAX_ORDER}, got a={a}, k={k}, order={order}")
-    steps = [(_times_letters if letters else _times_count)(j) for j, letters in factors(k, a)]
-    return _expand(order, k, a * (a - 1) // 2, steps)
+    return _expand(order, k, a * (a - 1) // 2, factors(k, a))
 
 
 # sep_totals_by_length at order 30 takes 0.03 s for all k = 1..30 together.

@@ -811,15 +811,28 @@ FAULTS = [
     # the last record of a word with more than one dropped
     ("stats_dual", stats, "records", lambda f: lambda w: f(w)[:-1] or f(w)),
     ("totals", formulas, "total_sep_nk", lambda f: lambda n, k: -f(n, k)),
+    ("totals", formulas, "rational_series_totals", lambda f: lambda k, order: [t + 1 for t in f(k, order)]),
+    ("totals", series, "sep_totals_by_length", lambda f: lambda k, order: [t + 1 for t in f(k, order)]),
     # one more in the census cell k = n
     ("totals", oracle, "brute_totals_by_k", lambda f: lambda n: {k: t + (k == n) for k, t in f(n).items()}),
     ("bell_total", formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),
+    ("bell_total", oracle, "brute_total", lambda f: lambda n: f(n) + 1),
     # the refuted variants in place of the validated routes
     ("distribution", series, "distribution_series", lambda f: variants.distribution_series),
+    # one more word in the cell k = a = n
+    ("distribution", oracle, "brute_distributions",
+     lambda f: lambda n: {ka: {s: c + (ka == (n, n)) for s, c in d.items()} for ka, d in f(n).items()}),
     ("pfd", formulas, "pfd_coeffs", lambda f: variants.pfd_coeffs),
+    ("pfd", formulas, "pfd_oracle", lambda f: variants.pfd_coeffs),
+    ("pfd", formulas, "pfd_target_value", lambda f: lambda k, y: 2 * f(k, y)),
+    ("pfd", formulas, "pfd_value", lambda f: lambda coeffs, y: 2 * f(coeffs, y)),
     ("egf", formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),
+    ("egf", formulas, "egf_coeffs", lambda f: lambda order: [2 * e for e in f(order)]),
+    ("egf", formulas, "bell_shift_identities_check", lambda f: lambda order: {**f(order), "x_exp_2x": False}),
     ("integrality", counting, "bell_numbers", lambda f: lambda top: [b + 1 for b in f(top)]),
+    ("integrality", formulas, "bell_total_row", lambda f: lambda n: (f(n)[0] + 1, *f(n)[1:])),
     ("rowsum", formulas, "total_sep_n", lambda f: lambda n: f(n) + 1),
+    ("rowsum", formulas, "total_sep_nk", lambda f: lambda n, k: f(n, k) + (k == n)),
 ]
 
 

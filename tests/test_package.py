@@ -87,6 +87,41 @@ def test_benchmark_trace_names_resolve():
     assert "workers" in inspect.signature(oracle.brute_totals_by_k).parameters
 
 
+# defined in src/seprec but referenced in no program file, with the reason
+UNREFERENCED = {
+    "formulas.bell_egf": "spanned by perfbench/layers.py; deleted after the benchmark re-freeze",
+    "series.word_sum_factor": "spanned by perfbench/layers.py; deleted after the benchmark re-freeze",
+    "series.word_count_factor": "spanned by perfbench/layers.py; deleted after the benchmark re-freeze",
+    "series.QPoly.deriv_at_one": "public method, the reference of the q-derivative test",
+}
+
+
+def test_every_function_is_referenced_by_the_program():
+    # a dead-code ledger: every top-level function and every method of
+    # src/seprec is named in src/seprec (outside __init__.py), demos/ or
+    # scripts/, or is exempt above; dunders are called by the interpreter
+    defined = {}
+    for path in sorted((ROOT / "src" / "seprec").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            methods = node.body if isinstance(node, ast.ClassDef) else []
+            for fn in [node, *methods]:
+                if isinstance(fn, ast.FunctionDef) and not fn.name[:2] == fn.name[-2:] == "__":
+                    owner = "" if fn is node else f"{node.name}."
+                    defined[f"{path.stem}.{owner}{fn.name}"] = fn.name
+    programs = [path for path in (ROOT / "src" / "seprec").glob("*.py") if path.name != "__init__.py"]
+    programs += [*(ROOT / "demos").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    named = set()
+    for path in programs:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):  # from m import f as g
+                named.add(node.name)
+    assert {dotted for dotted, name in defined.items() if name not in named} == set(UNREFERENCED)
+
+
 def test_readme_budget_table_matches_the_constants():
     # the size-budget table of README.md: each Budget cell holds the value of
     # the module.CONSTANT in its Constant cell (the costs stay prose)

@@ -1,4 +1,8 @@
+from functools import reduce
+from itertools import zip_longest
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seprec import series, variants
 from seprec.counting import stirling2
@@ -73,6 +77,30 @@ def test_word_factors_need_a_positive_alphabet():
         word_sum_factor(1, -1)
     with pytest.raises(ValueError):
         word_count_factor(1, -1)
+
+
+def _plus(p, r):
+    return QPoly(map(sum, zip_longest(p.coeffs, r.coeffs, fillvalue=0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.booleans()), max_size=4), st.data())
+def test_expand_is_the_product_of_truncated_geometric_series(factors, data):
+    # any factor list, in any order, against x^xpower q^qpower times
+    # sum_m (x*L)^m per factor, multiplied out with QPoly products
+    order = data.draw(st.integers(0, 8))
+    xpower = data.draw(st.integers(0, order))
+    qpower = data.draw(st.integers(0, 4))
+    product = [QPoly()] * (order + 1)
+    product[xpower] = QPoly([0] * qpower + [1])
+    for j, letters in factors:
+        lpoly = QPoly([0] + [1] * j if letters else [j])
+        powers = [QPoly([1])]
+        for _ in range(order):
+            powers.append(powers[-1] * lpoly)
+        product = [reduce(_plus, (product[i] * powers[n - i] for i in range(n + 1)))
+                   for n in range(order + 1)]
+    assert series._expand(order, xpower, qpower, factors).coeffs == tuple(product)
 
 
 def test_distribution_series_single_block():
